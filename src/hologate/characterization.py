@@ -122,20 +122,10 @@ def qpt_setting_count(n: int) -> int:
 def simulate_qpt(channel) -> tuple[TransferMatrix, int]:
     """Measurement-by-setting tomography: prepare each Pauli input, apply the
     channel, measure every non-identity output coefficient one setting at a
-    time. Returns the reconstruction and the number of settings consumed."""
-    channel = as_channel(channel)
-    n = channel.n
-    d = 2 ** n
-    _, basis = pauli_basis(n)
-    mat = np.zeros((4 ** n, 4 ** n))
-    settings = 0
-    for i, sigma_in in enumerate(basis):
-        out = channel.apply(sigma_in)
-        mat[i, 0] = np.trace(out).real / d  # fixed by normalization, not measured
-        for j in range(1, 4 ** n):
-            mat[i, j] = np.trace(basis[j] @ out).real / d
-            settings += 1
-    return TransferMatrix(n=n, matrix=mat), settings
+    time. The noiseless reconstruction is the channel's transfer matrix;
+    returns it and the number of settings consumed."""
+    transfer = pauli_transfer(channel)
+    return transfer, qpt_setting_count(transfer.n)
 
 
 def process_fidelity(exp: TransferMatrix, ideal: TransferMatrix) -> float:
@@ -161,6 +151,11 @@ CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
     ("Rx(pi)", _rotation("X", np.pi)),
     ("Ry(+pi/2)", _rotation("Y", np.pi / 2)),
     ("Ry(-pi/2)", _rotation("Y", -np.pi / 2)),
+)
+
+#: Transfer matrices of `CLIFFORD_1Q`, stacked in the same order.
+CLIFFORD_1Q_PTM: np.ndarray = np.stack(
+    [pauli_transfer(UnitaryChannel(u)).matrix for _, u in CLIFFORD_1Q]
 )
 
 
@@ -246,15 +241,8 @@ def fit_decay(
 
 def _resolve_target(target, target_ideal, n_t):
     """Implemented unitary and the intended unitary used for recovery."""
-    if isinstance(target, str):
-        impl = named_gate(target)
-        ideal = impl if target_ideal is None else _plain_unitary(target_ideal, n_t)
-    elif isinstance(target, LoopSequence):
-        impl = sequence_propagator(target, n_t)
-        ideal = impl if target_ideal is None else _plain_unitary(target_ideal, n_t)
-    else:
-        impl = np.asarray(target, dtype=complex)
-        ideal = impl if target_ideal is None else _plain_unitary(target_ideal, n_t)
+    impl = _plain_unitary(target, n_t)
+    ideal = impl if target_ideal is None else _plain_unitary(target_ideal, n_t)
     if impl.shape != (2, 2) or ideal.shape != (2, 2):
         raise ValidationError("benchmarking is implemented for single-qubit gates")
     return impl, ideal
@@ -268,24 +256,14 @@ def _plain_unitary(obj, n_t):
     return np.asarray(obj, dtype=complex)
 
 
-def _depolarize(rho: np.ndarray, eps: float) -> np.ndarray:
-    return (1.0 - eps) * rho + eps * np.trace(rho) * np.eye(2) / 2.0
-
-
-def _survival(ops_impl, ops_intended, eps_after, eps_recovery) -> float:
-    """Survival of the Z observable after the sequence plus exact recovery."""
-    rho = PAULI_1Q["Z"].copy()
-    net_intended = np.eye(2, dtype=complex)
-    for u_impl, u_int, eps in zip(ops_impl, ops_intended, eps_after):
-        rho = u_impl @ rho @ u_impl.conj().T
-        if eps:
-            rho = _depolarize(rho, eps)
-        net_intended = u_int @ net_intended
-    recovery = net_intended.conj().T
-    rho = recovery @ rho @ recovery.conj().T
-    if eps_recovery:
-        rho = _depolarize(rho, eps_recovery)
-    return float(np.trace(PAULI_1Q["Z"] @ rho).real / 2.0)
+def _chain(steps: np.ndarray) -> np.ndarray:
+    """Ordered product along axis 1 of an (n, m, 4, 4) stack of transfer
+    matrices, the first step acting first (leftmost, as rows are inputs)."""
+    while steps.shape[1] > 1:
+        half = steps.shape[1] // 2
+        head = steps[:, 0 : 2 * half : 2] @ steps[:, 1 : 2 * half : 2]
+        steps = np.concatenate([head, steps[:, 2 * half :]], axis=1)
+    return steps[:, 0]
 
 
 def rb_run(
@@ -303,9 +281,18 @@ def rb_run(
     Each sequence draws m gates uniformly from `CLIFFORD_1Q`, optionally
     interleaves the target after each one, appends the exact inverse of the
     intended sequence as the recovery gate, and records <Z>. A depolarizing
-    kick of strength `eps_clifford` follows every Clifford (and the
-    recovery); `eps_target` follows every interleaved target. Survival curves
-    are averaged per m and fitted to A p^m + B.
+    channel of strength `eps_clifford` follows every Clifford (and the
+    recovery); `eps_target` follows every interleaved target. Both strengths
+    must lie in [0, 1]. Survival curves are averaged per m and fitted to
+    A p^m + B.
+
+    Every sequence is simulated exactly with 4x4 Pauli transfer matrices
+    (`pauli_transfer`): the per-step matrices of the noisy implementation and
+    of the intended gates are chained with batched products over all
+    sequences of one length, the recovery is the transpose of the intended
+    product (the transfer matrix of a unitary is orthogonal), and the
+    survival is the [Z, Z] entry of implementation, recovery, then
+    depolarizing. Sequence draws are seeded per (seed, variant, m, sequence).
 
     `target` may be a gate name, an explicit unitary, or a LoopSequence (its
     propagator is taken as the implementation). `target_ideal` sets the
@@ -315,31 +302,26 @@ def rb_run(
     m_values = tuple(int(m) for m in m_values)
     if any(m < 1 for m in m_values) or n_sequences < 1:
         raise ValidationError("m values and n_sequences must be positive")
+    dep_clifford = pauli_transfer(DepolarizingChannel(eps_clifford)).matrix
+    dep_target = pauli_transfer(DepolarizingChannel(eps_target)).matrix
     impl = ideal = None
     if target is not None:
         impl, ideal = _resolve_target(target, target_ideal, n_t)
+    z = pauli_labels(1).index("Z")
 
-    cliffords = [u for _, u in CLIFFORD_1Q]
-
-    def run_variant(interleave: bool) -> RBRecord:
+    def run_variant(interleave: bool, noisy: np.ndarray, intended: np.ndarray) -> RBRecord:
+        """`noisy[k]` and `intended[k]` are the transfer matrices of one step
+        that draws Clifford k."""
         means, errs = [], []
         for mi, m in enumerate(m_values):
-            vals = np.empty(n_sequences)
-            for si in range(n_sequences):
-                rng = np.random.default_rng(
+            draws = np.stack([
+                np.random.default_rng(
                     np.random.SeedSequence([seed, 1 if interleave else 0, mi, si])
-                )
-                draws = rng.integers(0, len(cliffords), size=m)
-                ops_impl, ops_int, eps_after = [], [], []
-                for k in draws:
-                    ops_impl.append(cliffords[k])
-                    ops_int.append(cliffords[k])
-                    eps_after.append(eps_clifford)
-                    if interleave:
-                        ops_impl.append(impl)
-                        ops_int.append(ideal)
-                        eps_after.append(eps_target)
-                vals[si] = _survival(ops_impl, ops_int, eps_after, eps_clifford)
+                ).integers(0, len(CLIFFORD_1Q), size=m)
+                for si in range(n_sequences)
+            ])
+            recovery = np.swapaxes(_chain(intended[draws]), 1, 2)
+            vals = (_chain(noisy[draws]) @ recovery @ dep_clifford)[:, z, z]
             means.append(float(vals.mean()))
             errs.append(float(vals.std(ddof=1) / np.sqrt(n_sequences)) if n_sequences > 1 else 0.0)
         fit, fit_err, ok = fit_decay(m_values, means)
@@ -354,8 +336,15 @@ def rb_run(
             converged=ok,
         )
 
-    reference = run_variant(False)
-    interleaved = run_variant(True) if target is not None else None
+    noisy_clifford = CLIFFORD_1Q_PTM @ dep_clifford
+    reference = run_variant(False, noisy_clifford, CLIFFORD_1Q_PTM)
+    interleaved = None
+    if target is not None:
+        noisy_target = pauli_transfer(UnitaryChannel(impl)).matrix @ dep_target
+        intended_target = pauli_transfer(UnitaryChannel(ideal)).matrix
+        interleaved = run_variant(
+            True, noisy_clifford @ noisy_target, CLIFFORD_1Q_PTM @ intended_target
+        )
     return RBRun(reference=reference, interleaved=interleaved)
 
 

@@ -98,6 +98,15 @@ class PulseParams:
             if om > 0
         )
 
+    def period_count(self) -> float:
+        """Drive periods the segment spans: the largest cycle count, 0 when
+        undriven. A count within `CYCLIC_ATOL` of a whole number is that
+        number, so rounding in |w| * (2pi / |w|) / 2pi cannot add a period
+        to a grid sized from it."""
+        periods = max(self.cycle_counts(), default=0.0)
+        whole = round(periods)
+        return float(whole) if abs(periods - whole) <= CYCLIC_ATOL else periods
+
     def is_cyclic(self, atol: float = CYCLIC_ATOL) -> bool:
         for k in self.cycle_counts():
             if k < 0.5 or abs(k - round(k)) > atol:
@@ -219,10 +228,15 @@ def hamiltonian_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
     return out
 
 
+def invariant_from_hamiltonian(p: PulseParams, h_path: np.ndarray) -> np.ndarray:
+    """I(t) = 2 H(t) - sum_i w_i sz_i from H(t) already sampled on a grid."""
+    _, _, _, zrot = _drive_terms(p)
+    return 2.0 * h_path - zrot
+
+
 def invariant_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
     """I(t) = 2 H(t) - sum_i w_i sz_i stacked over a time grid."""
-    _, _, _, zrot = _drive_terms(p)
-    return 2.0 * hamiltonian_path(p, times) - zrot
+    return invariant_from_hamiltonian(p, hamiltonian_path(p, times))
 
 
 def _require_time(p: PulseParams, t: float) -> float:

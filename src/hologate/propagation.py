@@ -23,7 +23,7 @@ from .model import (
     LoopSequence,
     PulseParams,
     hamiltonian_path,
-    invariant_path,
+    invariant_from_hamiltonian,
 )
 
 #: Grid points per drive period used by default for eigenframe quantities.
@@ -54,12 +54,14 @@ class EigenFrame:
 
     `values` holds the d constant eigenvalues (ascending); `vectors` has
     shape (n_t + 1, d, d) with eigenvectors as columns, phase-fixed so that
-    successive per-column overlaps are real and positive.
+    successive per-column overlaps are real and positive. `hamiltonian`
+    holds H(t) on the same grid, shape (n_t + 1, d, d).
     """
 
     times: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
+    hamiltonian: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -102,17 +104,15 @@ class PhaseRecord:
         }
 
 
-def _period_count(p: PulseParams) -> float:
-    driven = [abs(w) for om, w in zip(p.omega_drive, p.omega_rot) if om > 0]
-    if not driven:
-        return 0.0
-    return max(driven) * p.duration / TWO_PI
+def _grid_size(p: PulseParams, per_period: int) -> int:
+    """`per_period` grid steps for every started drive period, at least one."""
+    return int(np.ceil(max(p.period_count(), 1.0))) * per_period
 
 
 def _resolve_grid(p: PulseParams, n_t: int | None, per_period: int) -> int:
-    periods = _period_count(p)
+    periods = p.period_count()
     if n_t is None:
-        return max(1024, int(np.ceil(max(periods, 1.0))) * per_period)
+        return max(1024, _grid_size(p, per_period))
     n_t = int(n_t)
     if periods > 0 and n_t < MIN_POINTS_PER_PERIOD * periods:
         raise ValidationError(
@@ -220,27 +220,20 @@ def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
     """
     n_t = _resolve_grid(p, n_t, DEFAULT_FRAME_POINTS)
     times = np.linspace(0.0, p.duration, n_t + 1)
-    inv = invariant_path(p, times)
-    vals, vecs = np.linalg.eigh(inv)
+    h_path = hamiltonian_path(p, times)
+    vals, vecs = np.linalg.eigh(invariant_from_hamiltonian(p, h_path))
     scale = max(float(np.abs(vals[0]).max()), 1.0)
     if np.abs(vals - vals[0]).max() > 1e-6 * scale:
         raise EigenvalueCrossingError(
             "invariant spectrum drifts along the grid; increase the grid size"
         )
-    h_path = hamiltonian_path(p, times)
     vecs = _transport(vals[0], vecs, h_path)
-    return EigenFrame(times=times, values=vals[0], vectors=vecs)
+    return EigenFrame(times=times, values=vals[0], vectors=vecs, hamiltonian=h_path)
 
 
-def _frame_and_hpath(p: PulseParams, n_t: int | None):
-    frame = build_eigenframe(p, n_t)
-    h_path = hamiltonian_path(p, frame.times)
-    return frame, h_path
-
-
-def _dynamical_phases(frame: EigenFrame, h_path: np.ndarray) -> np.ndarray:
+def _dynamical_phases(frame: EigenFrame) -> np.ndarray:
     expect = np.einsum(
-        "tik,tij,tjk->tk", frame.vectors.conj(), h_path, frame.vectors
+        "tik,tij,tjk->tk", frame.vectors.conj(), frame.hamiltonian, frame.vectors
     ).real
     return -np.trapezoid(expect, frame.times, axis=0)
 
@@ -250,8 +243,8 @@ def segment_evolution(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagator and per-eigenstate dynamical phases from one frame build."""
     p.require_cyclic()
-    frame, h_path = _frame_and_hpath(p, n_t)
-    gd = _dynamical_phases(frame, h_path)
+    frame = build_eigenframe(p, n_t)
+    gd = _dynamical_phases(frame)
     u = (frame.vectors[-1] * np.exp(1j * gd)) @ frame.vectors[0].conj().T
     return u, gd
 
@@ -271,8 +264,8 @@ def phases(p: PulseParams, n_t: int | None = None) -> PhaseRecord:
     overlap block.
     """
     p.require_cyclic()
-    frame, h_path = _frame_and_hpath(p, n_t)
-    gd = _dynamical_phases(frame, h_path)
+    frame = build_eigenframe(p, n_t)
+    gd = _dynamical_phases(frame)
     gg = np.empty(frame.dim)
     for g in _degenerate_groups(frame.values):
         w = frame.vectors[0][:, g].conj().T @ frame.vectors[-1][:, g]
@@ -327,7 +320,7 @@ def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     second-order accurate in dt and exactly unitary.
     """
     if n_t is None:
-        n_t = max(2048, int(np.ceil(max(_period_count(p), 1.0))) * DEFAULT_ODE_POINTS)
+        n_t = max(2048, _grid_size(p, DEFAULT_ODE_POINTS))
     n_t = int(n_t)
     if n_t < 16:
         raise ValidationError("grid must have at least 16 steps")

@@ -166,11 +166,7 @@ def gate_length(seq: LoopSequence) -> float:
 
 
 def _search_grid(p: PulseParams) -> int:
-    periods = max(
-        (abs(w) * p.duration / TWO_PI for om, w in zip(p.omega_drive, p.omega_rot) if om > 0),
-        default=1.0,
-    )
-    return int(np.ceil(max(periods, 1.0))) * SEARCH_POINTS_PER_PERIOD
+    return int(np.ceil(max(p.period_count(), 1.0))) * SEARCH_POINTS_PER_PERIOD
 
 
 def objective(

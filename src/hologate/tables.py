@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import named_gate
 from .model import TWO_PI, LoopSequence, PulseParams
 from .propagation import zero_dynamical_phase_amplitude
 
@@ -108,7 +107,3 @@ def cnot_sequence(coupling: float = TWO_QUBIT_TABLE_COUPLING) -> LoopSequence:
 
 def entangler_params(coupling: float = TWO_QUBIT_TABLE_COUPLING) -> PulseParams:
     return two_qubit_pulse(ENTANGLER_ROW, coupling)
-
-
-def gate_target(name: str):
-    return named_gate(name)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hologate import (
     CLIFFORD_1Q,
     ChannelSequence,
     DepolarizingChannel,
+    LoopSequence,
     RBRecord,
     TransferMatrix,
     UnitaryChannel,
@@ -16,6 +19,7 @@ from hologate import (
     qpt_setting_count,
     rb_gate_fidelity,
     rb_run,
+    sequence_propagator,
     simulate_qpt,
 )
 from hologate import tables
@@ -35,6 +39,32 @@ def brute_force_transfer(u: np.ndarray) -> np.ndarray:
         for j in range(4 ** n):
             out[i, j] = np.trace(basis[j] @ rho).real / d
     return out
+
+
+def density_matrix_rb(impl, ideal, eps_clifford, eps_target, m_values, n_sequences,
+                      seed, interleave):
+    """Per-m mean and standard error of the Z survival, evolving explicit
+    density matrices through the channel of each seeded sequence."""
+    cliffords = [u for _, u in CLIFFORD_1Q]
+    means, errs = [], []
+    for mi, m in enumerate(m_values):
+        vals = []
+        for si in range(n_sequences):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, int(interleave), mi, si]))
+            channels, net = [], np.eye(2, dtype=complex)
+            for k in rng.integers(0, len(cliffords), size=m):
+                channels += [UnitaryChannel(cliffords[k]), DepolarizingChannel(eps_clifford)]
+                net = cliffords[k] @ net
+                if interleave:
+                    channels += [UnitaryChannel(impl), DepolarizingChannel(eps_target)]
+                    net = ideal @ net
+            channels += [UnitaryChannel(net.conj().T), DepolarizingChannel(eps_clifford)]
+            rho = ChannelSequence(channels).apply(SZ)
+            vals.append(np.trace(SZ @ rho).real / 2.0)
+        means.append(np.mean(vals))
+        errs.append(np.std(vals, ddof=1) / np.sqrt(n_sequences))
+    return np.array(means), np.array(errs)
 
 
 class TestPauliTransfer:
@@ -196,6 +226,24 @@ class TestRb:
         f = rb_gate_fidelity(run.reference, run.interleaved, n=1)
         assert f >= 0.999
 
+    def test_matches_density_matrix_simulation(self):
+        # a miscalibrated, non-Clifford loop-sequence target
+        seq = LoopSequence(tuple(
+            dataclasses.replace(seg, omega_drive=tuple(1.05 * w for w in seg.omega_drive))
+            for seg in tables.single_qubit_sequence("T")
+        ))
+        impl = sequence_propagator(seq)
+        eps_c, eps_t, m_values, n_seq, seed = 0.01, 0.02, (1, 3, 8), 5, 6
+        run = rb_run(target=seq, target_ideal="T", eps_clifford=eps_c, eps_target=eps_t,
+                     m_values=m_values, n_sequences=n_seq, seed=seed)
+        for record, interleave in ((run.reference, False), (run.interleaved, True)):
+            means, errs = density_matrix_rb(impl, named_gate("T"), eps_c, eps_t,
+                                            m_values, n_seq, seed, interleave)
+            np.testing.assert_allclose(record.mean_fidelity, means, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(record.stderr, errs, rtol=0, atol=1e-12)
+        # the miscalibrated target is visibly worse than the ideal gate
+        assert run.interleaved.mean_fidelity[-1] < run.reference.mean_fidelity[-1] - 0.01
+
     def test_csv_format(self):
         run = rb_run(m_values=(2, 4), n_sequences=2, seed=0)
         lines = run.reference.to_csv().strip().splitlines()
@@ -208,6 +256,10 @@ class TestRb:
             rb_run(m_values=(0,), n_sequences=2)
         with pytest.raises(ValidationError):
             rb_run(target=named_gate("CNOT"), m_values=(2,), n_sequences=2)
+        with pytest.raises(ValidationError):
+            rb_run(eps_clifford=1.5, m_values=(2,), n_sequences=2)
+        with pytest.raises(ValidationError):
+            rb_run(target="X", eps_target=float("nan"), m_values=(2,), n_sequences=2)
 
 
 class TestRbGateFidelity:

@@ -197,6 +197,9 @@ class TestErrorHandling:
         bad.write_text("{not json")
         assert run_cli(["phases", "--input", bad]) == 2
 
+    def test_rb_noise_out_of_range(self):
+        assert run_cli(["rb", "--noise-eps", "1.5", "--m-values", "2", "--n-seq", "2"]) == 2
+
     def test_bad_gate_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["qpt", "--gate", "SWAP"])

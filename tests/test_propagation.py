@@ -21,7 +21,14 @@ from hologate import (
 )
 from hologate.linalg import PAULI_1Q
 from hologate.model import hamiltonian_path
-from hologate.propagation import _transport, _require_abelian, ode_trajectory
+from hologate.propagation import (
+    DEFAULT_FRAME_POINTS,
+    DEFAULT_ODE_POINTS,
+    _require_abelian,
+    _transport,
+    ode_trajectory,
+)
+from hologate.synthesis import SEARCH_POINTS_PER_PERIOD, _search_grid
 from conftest import random_cyclic_params
 
 TWO_PI = 2.0 * np.pi
@@ -72,6 +79,17 @@ class TestBuildEigenframe:
                         detuning=(1.0,), duration=np.pi)
         with pytest.raises(ValidationError):
             build_eigenframe(p, 128)
+
+    def test_one_period_segment_gets_one_period_grids(self):
+        # |w| * (2pi / w) / 2pi evaluates to 1.0000000000000002 for this w
+        w = 1.302
+        p = PulseParams(n=1, omega_drive=(0.5,), omega_rot=(w,), phase=(0.0,),
+                        detuning=(1.0,), duration=TWO_PI / w)
+        assert p.cycle_counts()[0] > 1.0
+        assert build_eigenframe(p).times.size == DEFAULT_FRAME_POINTS + 1
+        assert build_eigenframe(p, 256).times.size == 257
+        assert _search_grid(p) == SEARCH_POINTS_PER_PERIOD
+        np.testing.assert_array_equal(ode_propagator(p), ode_propagator(p, DEFAULT_ODE_POINTS))
 
     def test_crossing_detection_on_synthetic_swap(self):
         # two samples whose dominant eigenvectors trade places
