@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .linalg import (
     ValidationError,
@@ -220,6 +219,10 @@ def fit_decay(
     y = np.asarray(mean_fidelity, dtype=float)
     if np.ptp(y) < 1e-12:
         return (0.0, 1.0, float(y.mean())), (0.0, 0.0, 0.0), True
+    # imported here, not with the module: scipy.optimize takes about half a
+    # second to import, and only a decay fit needs it
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     model = lambda mm, a, p, b: a * p ** mm + b
     guesses = [
         (0.5, 0.99, 0.5),

@@ -19,6 +19,7 @@ carries the exact evolution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -36,6 +37,8 @@ def _as_tuple(values, n: int, name: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in np.atleast_1d(values))
     if len(out) != n:
         raise ValidationError(f"{name} must have length {n}, got {len(out)}")
+    if not all(math.isfinite(v) for v in out):
+        raise ValidationError(f"{name} must be finite, got {out}")
     return out
 
 
@@ -48,7 +51,10 @@ def _normalize_couplings(couplings, n: int) -> dict[tuple[int, int], float]:
             i, j = (int(part) for part in key)
         if not (0 <= i < j < n):
             raise ValidationError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
-        out[(i, j)] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(f"coupling {(i, j)} must be finite, got {value}")
+        out[(i, j)] = value
     return dict(sorted(out.items()))
 
 
@@ -83,8 +89,8 @@ class PulseParams:
         object.__setattr__(self, "duration", float(self.duration))
         if any(om < 0 for om in self.omega_drive):
             raise ValidationError("drive amplitudes must be nonnegative")
-        if not self.duration > 0:
-            raise ValidationError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValidationError(f"duration must be positive and finite, got {self.duration}")
 
     @property
     def dim(self) -> int:
@@ -199,12 +205,23 @@ class LoopSequence:
         return cls.from_dict(json.loads(text))
 
 
+def _wire_paulis(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    ops = tuple(tuple(pauli_on(n, i, a) for i in range(n)) for a in "XYZ")
+    for row in ops:
+        for op in row:
+            op.setflags(write=False)
+    return ops
+
+
+#: (sx_i, sy_i, sz_i) on every wire of an n-qubit register, for n = 1..3;
+#: read-only, shared by every call.
+_WIRE_PAULIS = {n: _wire_paulis(n) for n in (1, 2, 3)}
+
+
 def _drive_terms(p: PulseParams):
     """Per-qubit (sx_i, sy_i) operators plus the static Zeeman/Ising parts."""
     n = p.n
-    sx = [pauli_on(n, i, "X") for i in range(n)]
-    sy = [pauli_on(n, i, "Y") for i in range(n)]
-    sz = [pauli_on(n, i, "Z") for i in range(n)]
+    sx, sy, sz = _WIRE_PAULIS[n]
     static_h = sum(0.5 * p.detuning[i] * sz[i] for i in range(n))
     static_h = static_h + sum(
         0.25 * J * (sz[i] @ sz[j]) for (i, j), J in p.couplings.items()

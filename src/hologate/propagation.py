@@ -13,11 +13,12 @@ the endpoint vectors and only the dynamical phase gd_n appears explicitly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, PAULI_1Q
+from .linalg import ValidationError
 from .model import (
     TWO_PI,
     LoopSequence,
@@ -404,6 +405,18 @@ def loop_params(theta: float, phi: float, delta: float = 1.0) -> PulseParams:
     )
 
 
+def _loop_quaternion(theta: float, phi: float) -> tuple[float, float, float, float]:
+    """The loop gate of `single_qubit_loop_gate` as SU(2) scalars (w, vx, vy, vz),
+    U = w I + i (v . sigma), computed with `math` only."""
+    theta = float(theta)
+    if not 0.0 < theta < math.pi:
+        raise ValidationError("cone angle must lie strictly inside (0, pi)")
+    ct, st = math.cos(theta), math.sin(theta)
+    angle = (math.pi if theta >= math.pi / 2 else -math.pi) * ct
+    s = -math.sin(angle)
+    return -math.cos(angle), s * st * math.cos(phi), s * st * math.sin(phi), s * ct
+
+
 def single_qubit_loop_gate(theta: float, phi: float) -> np.ndarray:
     """Closed form of the single-qubit zero-dynamical-phase loop gate.
 
@@ -415,15 +428,5 @@ def single_qubit_loop_gate(theta: float, phi: float) -> np.ndarray:
     with + for theta > pi/2 (counterclockwise precession) and - below; the
     closed form is validated against `eigenframe_propagator(loop_params(...))`.
     """
-    theta = float(theta)
-    if not 0.0 < theta < np.pi:
-        raise ValidationError("cone angle must lie strictly inside (0, pi)")
-    ct, st = np.cos(theta), np.sin(theta)
-    axis = (
-        st * np.cos(phi) * PAULI_1Q["X"]
-        + st * np.sin(phi) * PAULI_1Q["Y"]
-        + ct * PAULI_1Q["Z"]
-    )
-    sign = 1.0 if theta >= np.pi / 2 else -1.0
-    angle = sign * np.pi * ct
-    return -(np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * axis)
+    w, vx, vy, vz = _loop_quaternion(theta, phi)
+    return np.array([[w + 1j * vz, vy + 1j * vx], [-vy + 1j * vx, w - 1j * vz]])

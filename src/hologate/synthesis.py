@@ -3,26 +3,32 @@
 Single-qubit synthesis works in the reduced coordinates (w/D, phi) per loop:
 the drive amplitude is eliminated analytically by the zero-dynamical-phase
 condition, so every candidate loop is holonomic by construction and the
-objective reduces to the closed-form loop gate. Two-qubit synthesis keeps
-all seven parameters per loop and penalizes the dynamical phases.
+objective reduces to the closed-form loop gate. That objective is evaluated
+in SU(2) scalars rather than matrices: each loop gate is w I + i (v . sigma),
+loops compose by the quaternion product, and the fidelity is read from
+coefficients of tr(target^dag U) computed once per target. Two-qubit
+synthesis keeps all seven parameters per loop and penalizes the dynamical
+phases.
+
+scipy is imported by the first search, not with this module.
 """
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .linalg import ValidationError, named_gate, pauli_basis, unitary_fidelity
+from .linalg import PAULI_1Q, ValidationError, named_gate, pauli_basis, unitary_fidelity
 from .model import TWO_PI, LoopSequence, PulseParams
 from .propagation import (
     EigenvalueCrossingError,
     NonAbelianDegeneracyError,
+    _loop_quaternion,
     segment_evolution,
-    single_qubit_loop_gate,
     zero_dynamical_phase_amplitude,
 )
 
@@ -225,13 +231,36 @@ def two_qubit_sequence_from_vector(x: Sequence[float], coupling: float = 1.0) ->
 
 
 def _closed_form_cost(target: np.ndarray, n_loops: int):
+    """1 - F(target, U) for the product U of the closed-form loop gates of
+    reduced coordinates x, in SU(2) scalars.
+
+    Each loop gate is w I + i (v . sigma) (`_loop_quaternion`); the gate of
+    a later loop g acts on the product u so far as
+    (g_w u_w - g.u, g_w u + u_w g - g x u). tr(target^dag U) = c0 w + c.v
+    with c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
+    |c0 w + c.v| / 2 with the coefficients computed here once.
+    """
+    vdag = target.conj().T
+    coeffs = [np.trace(vdag)] + [1j * np.trace(vdag @ PAULI_1Q[a]) for a in "XYZ"]
+    r0, r1, r2, r3 = (float(c.real) for c in coeffs)
+    i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
+
     def cost(x: np.ndarray) -> float:
-        u = np.eye(2, dtype=complex)
-        for k in range(n_loops):
-            ratio = max(x[2 * k], 1.0 + 1e-12)
-            theta = np.pi - np.arcsin(1.0 / np.sqrt(ratio))
-            u = single_qubit_loop_gate(theta, x[2 * k + 1]) @ u
-        return 1.0 - unitary_fidelity(target, u)
+        vals = x.tolist()
+        w, vx, vy, vz = 1.0, 0.0, 0.0, 0.0
+        for k in range(0, 2 * n_loops, 2):
+            ratio = max(vals[k], 1.0 + 1e-12)
+            theta = math.pi - math.asin(1.0 / math.sqrt(ratio))
+            gw, gx, gy, gz = _loop_quaternion(theta, vals[k + 1])
+            w, vx, vy, vz = (
+                gw * w - gx * vx - gy * vy - gz * vz,
+                gw * vx + w * gx - gy * vz + gz * vy,
+                gw * vy + w * gy - gz * vx + gx * vz,
+                gw * vz + w * gz - gx * vy + gy * vx,
+            )
+        re = r0 * w + r1 * vx + r2 * vy + r3 * vz
+        im = i0 * w + i1 * vx + i2 * vy + i3 * vz
+        return 1.0 - 0.5 * math.hypot(re, im)
 
     return cost
 
@@ -252,6 +281,14 @@ def _two_qubit_cost(target: np.ndarray, n_loops: int, penalty_weight: float, cou
             return 2.0
 
     return cost
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first use: importing
+    scipy.optimize takes about half a second, and only the searches need it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _run_restarts(cost, bounds, seed: int, restarts: int, options: dict, workers: int = 1):

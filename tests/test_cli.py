@@ -200,10 +200,42 @@ class TestErrorHandling:
     def test_rb_noise_out_of_range(self):
         assert run_cli(["rb", "--noise-eps", "1.5", "--m-values", "2", "--n-seq", "2"]) == 2
 
+    @pytest.mark.parametrize("command", ["gate", "phases"])
+    @pytest.mark.parametrize("field,value", [
+        ("phase", [float("nan"), 0.0]), ("detuning", [float("inf"), 0.0]),
+        ("omega_drive", [float("nan"), 1.0]), ("omega_rot", [float("nan"), 8.0]),
+        ("couplings", {"0,1": float("nan")}), ("duration", float("inf")),
+    ])
+    def test_non_finite_sequence_field(self, command, field, value, tmp_path, capsys):
+        doc = tables.cnot_sequence().to_dict()
+        doc["segments"][0][field] = value
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+        assert run_cli([command, "--input", path]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_gate_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["qpt", "--gate", "SWAP"])
         assert exc.value.code == 2
+
+
+def test_commands_without_search_leave_scipy_unloaded(x_sequence_file, tmp_path):
+    # importing scipy.optimize costs about half a second; only synth, entangle
+    # and rb need it, so the package and these commands must not load it
+    script = f"""
+import sys
+import hologate, hologate.cli
+for argv in (["gate", "--input", {str(x_sequence_file)!r}, "--target", "X"],
+             ["phases", "--input", {str(x_sequence_file)!r}],
+             ["qpt", "--gate", "X"]):
+    assert hologate.cli.main(argv + ["--output", {str(tmp_path / "out.json")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(x_sequence_file):

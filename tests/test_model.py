@@ -191,6 +191,18 @@ class TestPulseParams:
                         couplings={(0, 1): 1.0}, duration=np.pi / 2)
         assert p.is_cyclic()
 
+    @pytest.mark.parametrize("field,value", [
+        ("omega_drive", (np.nan, 1.0)), ("omega_rot", (2.0, np.inf)),
+        ("phase", (np.nan, 0.0)), ("detuning", (1.0, -np.inf)),
+        ("couplings", {(0, 1): np.nan}), ("duration", np.inf), ("duration", np.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        doc = dict(n=2, omega_drive=(1.0, 1.0), omega_rot=(2.0, 2.0),
+                   phase=(0.0, 0.0), detuning=(1.0, 1.0),
+                   couplings={(0, 1): 1.0}, duration=np.pi)
+        with pytest.raises(ValidationError, match="finite"):
+            PulseParams(**(doc | {field: value}))
+
     def test_coupling_key_validation(self):
         with pytest.raises(ValidationError):
             PulseParams(n=2, omega_drive=(1.0, 1.0), omega_rot=(2.0, 2.0),

@@ -24,6 +24,7 @@ from hologate.model import hamiltonian_path
 from hologate.propagation import (
     DEFAULT_FRAME_POINTS,
     DEFAULT_ODE_POINTS,
+    _loop_quaternion,
     _require_abelian,
     _transport,
     ode_trajectory,
@@ -264,6 +265,14 @@ class TestSingleQubitLoopGate:
             theta_of(1.591), 2.253
         )
         assert unitary_fidelity(named_gate("X"), u) >= 0.999
+
+    @pytest.mark.parametrize("theta,phi", [(2.2, 0.7), (np.pi / 2, 1.0), (0.5, 5.5)])
+    def test_matrix_is_the_quaternion(self, theta, phi):
+        w, vx, vy, vz = _loop_quaternion(theta, phi)
+        expected = w * PAULI_1Q["I"] + 1j * (
+            vx * PAULI_1Q["X"] + vy * PAULI_1Q["Y"] + vz * PAULI_1Q["Z"]
+        )
+        np.testing.assert_array_equal(single_qubit_loop_gate(theta, phi), expected)
 
     def test_degenerate_cone_rejected(self):
         for theta in (0.0, np.pi, -0.2, 3.5):

@@ -16,9 +16,10 @@ from hologate import (
     synthesize,
     unitary_fidelity,
 )
-from hologate import tables
+from hologate import single_qubit_loop_gate, tables
 from hologate.synthesis import (
     SINGLE_QUBIT_BOUNDS,
+    _closed_form_cost,
     single_qubit_sequence_from_vector,
     two_qubit_sequence_from_vector,
 )
@@ -52,6 +53,48 @@ class TestObjective:
         seq_b = single_qubit_sequence_from_vector((1.6, 0.9 + TWO_PI, 1.9, 2.8))
         t = named_gate("H")
         assert objective(t, seq_a, 10.0) == pytest.approx(objective(t, seq_b, 10.0), abs=1e-9)
+
+
+class TestClosedFormCost:
+    """The SU(2)-scalar search cost against the matrix product of loop gates."""
+
+    @staticmethod
+    def matrix_cost(target, x):
+        u = np.eye(2, dtype=complex)
+        for ratio, phi in zip(x[0::2], x[1::2]):
+            theta = np.pi - np.arcsin(1.0 / np.sqrt(max(ratio, 1.0 + 1e-12)))
+            u = single_qubit_loop_gate(theta, phi) @ u
+        return 1.0 - unitary_fidelity(target, u)
+
+    @staticmethod
+    def points(rng, n_loops):
+        lo, hi = SINGLE_QUBIT_BOUNDS[0]
+        for _ in range(20):
+            x = np.empty(2 * n_loops)
+            x[0::2] = rng.uniform(lo, hi, n_loops)
+            x[1::2] = rng.uniform(-1.0, TWO_PI + 1.0, n_loops)
+            yield x
+        for ratio in (lo, 1.0, 0.5):  # at the lower bound, and clamped below it
+            yield np.tile([ratio, 0.8], n_loops)
+
+    @pytest.mark.parametrize("n_loops", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "P", "T"])
+    def test_matches_matrix_product(self, name, n_loops, rng):
+        target = named_gate(name)
+        cost = _closed_form_cost(target, n_loops)
+        for x in self.points(rng, n_loops):
+            assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
+
+    def test_random_unitary_target(self, rng):
+        # a unitary with det != 1, so the target is not in SU(2)
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q, r = np.linalg.qr(z)
+        target = q * (np.diag(r) / np.abs(np.diag(r)))
+        assert abs(np.linalg.det(target) - 1.0) > 1e-3
+        for n_loops in (1, 2, 3):
+            cost = _closed_form_cost(target, n_loops)
+            for x in self.points(rng, n_loops):
+                assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
 
 
 class TestSynthesize:
