@@ -39,6 +39,7 @@ from .propagation import (
     loop_params,
     ode_propagator,
     phases,
+    sequence_evolution,
     sequence_phases,
     sequence_propagator,
     single_qubit_loop_gate,

@@ -303,8 +303,8 @@ def rb_run(
     itself (for a gate name, the named unitary).
     """
     m_values = tuple(int(m) for m in m_values)
-    if any(m < 1 for m in m_values) or n_sequences < 1:
-        raise ValidationError("m values and n_sequences must be positive")
+    if any(m < 1 for m in m_values) or n_sequences < 1 or seed < 0:
+        raise ValidationError("m values and n_sequences must be positive, seed nonnegative")
     dep_clifford = pauli_transfer(DepolarizingChannel(eps_clifford)).matrix
     dep_target = pauli_transfer(DepolarizingChannel(eps_target)).matrix
     impl = ideal = None

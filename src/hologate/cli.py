@@ -18,7 +18,7 @@ from .linalg import GATES, ValidationError, named_gate, pauli_on, unitary_fideli
 from .model import LoopSequence, invariant_path, hamiltonian_path, di_residual
 from .propagation import (
     ode_propagator,
-    phases,
+    sequence_evolution,
     sequence_phases,
     sequence_propagator,
 )
@@ -106,24 +106,21 @@ def cmd_tables(args) -> int:
         else:
             seq = tables.single_qubit_sequence(gate)
             target = named_gate(gate)
-        u = sequence_propagator(seq, grid)
+        u, gd = sequence_evolution(seq, grid)
         checks.append(_check(f"fidelity[{gate}]", unitary_fidelity(target, u), 0.999, "min"))
-        worst_gd = max(max(abs(g) for g in rec.gamma_dynamical)
-                       for rec in sequence_phases(seq, grid))
-        checks.append(_check(f"dynamical_phase[{gate}]", worst_gd, 1e-4, "max"))
+        checks.append(_check(f"dynamical_phase[{gate}]", float(np.abs(gd).max()), 1e-4, "max"))
         rel = abs(gate_length(seq) - published) / published
         checks.append(_check(f"gate_length[{gate}]", rel, 1e-2, "max"))
 
     cnot = tables.cnot_sequence()
-    u = sequence_propagator(cnot, grid)
+    u, gd = sequence_evolution(cnot, grid)
     checks.append(_check("fidelity[CNOT]", unitary_fidelity(named_gate("CNOT"), u), 0.99, "min"))
-    for k, (seg, rec) in enumerate(zip(cnot, sequence_phases(cnot, grid))):
+    for k, (seg, seg_gd) in enumerate(zip(cnot, gd)):
         bound = 1e-2 * seg.couplings[(0, 1)] * seg.duration
         checks.append(_check(f"dynamical_phase[CNOT P{k + 1}]",
-                             max(abs(g) for g in rec.gamma_dynamical), bound, "max"))
+                             float(np.abs(seg_gd).max()), bound, "max"))
 
-    ent = tables.entangler_params()
-    u_ent = sequence_propagator(LoopSequence((ent,)), grid)
+    u_ent = sequence_propagator(LoopSequence((tables.entangler_params(),)), grid)
     sv = correlation_singular_values(u_ent)
     checks.append(_check("entangling_score[table]", float(sv[1]), 1e-2, "max"))
     checks.append(_check("non_separability[table]", float(sv[2]), 1e-2, "min"))
@@ -217,7 +214,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    result = find_entangling(seed=args.seed or 0, restarts=args.restarts or 50,
+    result = find_entangling(seed=args.seed or 0, restarts=args.restarts,
                              penalty_weight=10.0 if args.penalty is None else args.penalty,
                              coupling=args.coupling, workers=args.jobs,
                              max_evals=args.max_evals)
@@ -263,16 +260,14 @@ def cmd_qpt(args) -> int:
 
 
 def cmd_rb(args) -> int:
-    target = None
-    target_ideal = args.target
-    if args.gate:
-        target = args.gate
-    elif args.input:
-        target = _load_sequence(args.input)
-    m_values = tuple(int(v) for v in args.m_values.split(","))
+    target = args.gate or (_load_sequence(args.input) if args.input else None)
+    try:
+        m_values = tuple(int(v) for v in args.m_values.split(","))
+    except ValueError:
+        raise ValidationError(f"--m-values must be integers, got {args.m_values!r}") from None
     run = rb_run(
         target=target,
-        target_ideal=target_ideal,
+        target_ideal=args.target,
         eps_clifford=args.noise_eps,
         eps_target=args.target_eps,
         m_values=m_values,
@@ -295,9 +290,7 @@ def cmd_rb(args) -> int:
         if run.interleaved is not None:
             inter_csv = prefix.with_name(prefix.stem + "_interleaved.csv")
             inter_csv.write_text(run.interleaved.to_csv())
-        prefix.write_text(dumps_report(doc))
-    else:
-        sys.stdout.write(dumps_report(doc))
+    _emit(doc, args.output)
     return 0
 
 
@@ -308,17 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
+    options = {
+        "seed": dict(type=int, default=None),
+        "jobs": dict(type=int, default=1, help="worker threads for independent restarts"),
+        "grid": dict(type=int, default=None,
+                     help="time-grid points per segment (default: automatic)"),
+    }
+
+    def common(p, *names):
+        """--output plus the named shared options the subcommand reads."""
         p.add_argument("--output", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent restarts")
-        if grid:
-            p.add_argument("--grid", type=int, default=None,
-                           help="time-grid points per segment (default: automatic)")
+        for name in names:
+            p.add_argument(f"--{name}", **options[name])
 
     p = sub.add_parser("tables", help="verify the embedded published tables")
-    common(p)
+    common(p, "grid")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify-di", help="check the invariant identity and residual")
@@ -329,26 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_di)
 
     p = sub.add_parser("phases", help="geometric/dynamical phase split per segment")
-    common(p)
+    common(p, "grid")
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("gate", help="propagate a sequence and compare to a target")
-    common(p)
+    common(p, "grid")
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None)
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("synth", help="synthesize pulses for a target gate")
-    common(p, grid=False)
+    common(p, "seed", "jobs")
     p.add_argument("--input", required=True, help="SynthesisProblem JSON")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--penalty", type=float, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("entangle", help="search for a single-loop entangling gate")
-    common(p, grid=False)
-    p.add_argument("--restarts", type=int, default=None)
+    common(p, "seed", "jobs")
+    p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--max-evals", type=int, default=None,
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("qpt", help="Pauli-basis process tomography of a gate")
-    common(p)
+    common(p, "grid")
     p.add_argument("--gate", choices=sorted(GATES), default=None)
     p.add_argument("--input", default=None, help="LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None,
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("rb", help="reference + interleaved randomized benchmarking")
-    common(p)
+    common(p, "grid", "seed")
     p.add_argument("--gate", choices=sorted(GATES), default=None)
     p.add_argument("--input", default=None, help="LoopSequence JSON for the target")
     p.add_argument("--target", choices=sorted(GATES), default=None,

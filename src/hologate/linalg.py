@@ -6,7 +6,7 @@ Everything here is a pure function of its arguments; dimensions are small
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,10 +65,17 @@ def pauli_labels(n: int) -> list[str]:
     return labels
 
 
+_PAULI_STACKS: dict[int, np.ndarray] = {}  # n -> read-only `pauli_basis` stack
+
+
 def pauli_basis(n: int) -> tuple[list[str], np.ndarray]:
-    """Labels and a stacked (4^n, 2^n, 2^n) array of all n-qubit Paulis."""
+    """Labels and a stacked (4^n, 2^n, 2^n) array of all n-qubit Paulis; the
+    array is built on the first request for n, then shared read-only."""
     labels = pauli_labels(n)
-    return labels, np.stack([pauli_string(s) for s in labels])
+    if n not in _PAULI_STACKS:
+        _PAULI_STACKS[n] = np.stack([pauli_string(s) for s in labels])
+        _PAULI_STACKS[n].setflags(write=False)
+    return labels, _PAULI_STACKS[n]
 
 
 def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -102,12 +109,6 @@ def unitary_exp(a: np.ndarray, s: float) -> np.ndarray:
     """exp(-i*s*A) for Hermitian A, via eigendecomposition."""
     vals, vecs = herm_eig(a)
     return (vecs * np.exp(-1j * s * vals)) @ vecs.conj().T
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    u = np.asarray(u)
-    d = u.shape[0]
-    return np.linalg.norm(u.conj().T @ u - np.eye(d)) < tol
 
 
 def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:
@@ -148,14 +149,3 @@ def named_gate(name: str) -> np.ndarray:
         raise ValidationError(
             f"unknown gate {name!r}; known: {sorted(GATES)}"
         ) from None
-
-
-def product(ops: Iterable[np.ndarray]) -> np.ndarray:
-    """Time-ordered product of operators: first element acts first."""
-    ops = list(ops)
-    if not ops:
-        raise ValidationError("product of no operators")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.asarray(op, dtype=complex) @ out
-    return out

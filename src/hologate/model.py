@@ -113,14 +113,14 @@ class PulseParams:
         whole = round(periods)
         return float(whole) if abs(periods - whole) <= CYCLIC_ATOL else periods
 
-    def is_cyclic(self, atol: float = CYCLIC_ATOL) -> bool:
+    def is_cyclic(self) -> bool:
         for k in self.cycle_counts():
-            if k < 0.5 or abs(k - round(k)) > atol:
+            if k < 0.5 or abs(k - round(k)) > CYCLIC_ATOL:
                 return False
         return True
 
-    def require_cyclic(self, atol: float = CYCLIC_ATOL) -> None:
-        if not self.is_cyclic(atol):
+    def require_cyclic(self) -> None:
+        if not self.is_cyclic():
             raise ValidationError(
                 "segment is not cyclic: each driven qubit must complete a "
                 f"whole number of drive periods (cycle counts {self.cycle_counts()})"

@@ -239,20 +239,39 @@ def _dynamical_phases(frame: EigenFrame) -> np.ndarray:
     return -np.trapezoid(expect, frame.times, axis=0)
 
 
-def segment_evolution(
-    p: PulseParams, n_t: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator and per-eigenstate dynamical phases from one frame build."""
+def _evolve(p: PulseParams, n_t: int | None) -> tuple[EigenFrame, np.ndarray, np.ndarray]:
+    """The frame pass of `segment_evolution` and `phases`: (frame, U, gd)."""
     p.require_cyclic()
     frame = build_eigenframe(p, n_t)
     gd = _dynamical_phases(frame)
     u = (frame.vectors[-1] * np.exp(1j * gd)) @ frame.vectors[0].conj().T
-    return u, gd
+    return frame, u, gd
+
+
+def segment_evolution(
+    p: PulseParams, n_t: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator and per-eigenstate dynamical phases from one frame build."""
+    return _evolve(p, n_t)[1:]
 
 
 def eigenframe_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     """Evolution operator over one cyclic segment from the invariant frame."""
     return segment_evolution(p, n_t)[0]
+
+
+def sequence_evolution(
+    seq: LoopSequence, n_t: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gate of a loop sequence (first segment acts first) and the dynamical
+    phases of its segments, shape (segments, dim); one frame build each."""
+    u = np.eye(seq.segments[0].dim, dtype=complex)
+    gds = []
+    for seg in seq:
+        useg, gd = segment_evolution(seg, n_t)
+        u = useg @ u
+        gds.append(gd)
+    return u, np.stack(gds)
 
 
 def phases(p: PulseParams, n_t: int | None = None) -> PhaseRecord:
@@ -263,10 +282,12 @@ def phases(p: PulseParams, n_t: int | None = None) -> PhaseRecord:
     integral; the dynamical phase is the trapezoid quadrature of
     -<v_n|H|v_n>. Degenerate blocks use the eigenphases of the closure
     overlap block.
+
+    alpha_total is read from a propagator built from the same frame and gd,
+    so alpha = gg + gd (mod 2pi) to about 1e-15 by construction: a
+    consistency value, not an oracle check (`ode_propagator` is the oracle).
     """
-    p.require_cyclic()
-    frame = build_eigenframe(p, n_t)
-    gd = _dynamical_phases(frame)
+    frame, u, gd = _evolve(p, n_t)
     gg = np.empty(frame.dim)
     for g in _degenerate_groups(frame.values):
         w = frame.vectors[0][:, g].conj().T @ frame.vectors[-1][:, g]
@@ -280,7 +301,6 @@ def phases(p: PulseParams, n_t: int | None = None) -> PhaseRecord:
                     "segment rejected (non-Abelian holonomy unsupported)"
                 )
             gg[g] = np.angle(np.diag(w))
-    u = (frame.vectors[-1] * np.exp(1j * gd)) @ frame.vectors[0].conj().T
     alpha = np.angle(
         np.einsum("ik,ij,jk->k", frame.vectors[0].conj(), u, frame.vectors[0])
     )
@@ -352,10 +372,7 @@ def ode_trajectory(
 
 def sequence_propagator(seq: LoopSequence, n_t: int | None = None) -> np.ndarray:
     """Total gate of a loop sequence; the first segment acts first."""
-    u = np.eye(seq.segments[0].dim, dtype=complex)
-    for seg in seq:
-        u = eigenframe_propagator(seg, n_t) @ u
-    return u
+    return sequence_evolution(seq, n_t)[0]
 
 
 def sequence_phases(seq: LoopSequence, n_t: int | None = None) -> list[PhaseRecord]:

@@ -29,6 +29,7 @@ from .propagation import (
     NonAbelianDegeneracyError,
     _loop_quaternion,
     segment_evolution,
+    sequence_evolution,
     zero_dynamical_phase_amplitude,
 )
 
@@ -44,8 +45,8 @@ TWO_QUBIT_BOUNDS = (
     (0.0, 10.0),
     (0.0, 10.0),
 )
-#: Grid points per drive period used while searching (final results are
-#: re-evaluated on the default fine grid).
+#: Search grid of a searched segment, which lasts one drive period, 2 pi / w
+#: (final results are re-evaluated on the default fine grid).
 SEARCH_POINTS_PER_PERIOD = 1024
 #: Scores within this of each other are resolved by the tie-break order.
 SCORE_TIE = 1e-9
@@ -80,8 +81,9 @@ class SynthesisProblem:
         object.__setattr__(self, "target", target)
         if self.n_qubits not in (1, 2):
             raise ValidationError("synthesis supports one or two qubits")
-        if self.n_loops < 1 or self.restarts < 1:
-            raise ValidationError("n_loops and restarts must be positive")
+        if self.n_loops < 1:
+            raise ValidationError("n_loops must be positive")
+        _require_search_counts(self.seed, self.restarts, self.max_evals, 1)
         if self.penalty_weight < 0:
             raise ValidationError("penalty weight must be nonnegative")
         if self.bounds is not None:
@@ -132,7 +134,7 @@ class SynthesisProblem:
             bounds=bounds,
             coupling=float(doc.get("coupling", 1.0)),
             target_name=name,
-            max_evals=doc.get("max_evals"),
+            max_evals=None if doc.get("max_evals") is None else int(doc["max_evals"]),
         )
 
     @classmethod
@@ -171,10 +173,6 @@ def gate_length(seq: LoopSequence) -> float:
     return float(sum(seg.duration for seg in seq))
 
 
-def _search_grid(p: PulseParams) -> int:
-    return int(np.ceil(max(p.period_count(), 1.0))) * SEARCH_POINTS_PER_PERIOD
-
-
 def objective(
     target: np.ndarray,
     seq: LoopSequence,
@@ -183,13 +181,13 @@ def objective(
 ) -> float:
     """Gate fidelity of the sequence minus the dynamical-phase penalty:
     F(target, prod U_i) - penalty_weight * sum_{i,n} |gd_n(segment i)|."""
-    u = np.eye(seq.segments[0].dim, dtype=complex)
-    penalty = 0.0
-    for seg in seq:
-        useg, gd = segment_evolution(seg, n_t)
-        u = useg @ u
-        penalty += float(np.abs(gd).sum())
-    return unitary_fidelity(target, u) - float(penalty_weight) * penalty
+    u, gd = sequence_evolution(seq, n_t)
+    return unitary_fidelity(target, u) - float(penalty_weight) * _phase_penalty(gd)
+
+
+def _phase_penalty(gd: np.ndarray) -> float:
+    """sum_{i,n} |gd_n(segment i)|, summed segment by segment."""
+    return sum(float(np.abs(g).sum()) for g in gd)
 
 
 def single_qubit_sequence_from_vector(x: Sequence[float]) -> LoopSequence:
@@ -265,20 +263,22 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     return cost
 
 
-def _two_qubit_cost(target: np.ndarray, n_loops: int, penalty_weight: float, coupling: float):
+def _two_qubit_evolution(x, coupling: float, n_t: int | None = SEARCH_POINTS_PER_PERIOD):
+    """`sequence_evolution` of the two-qubit loops x (search grid by default,
+    `n_t=None` for the fine grid), or None when a loop cannot be evaluated."""
+    try:
+        return sequence_evolution(two_qubit_sequence_from_vector(x, coupling), n_t)
+    except (EigenvalueCrossingError, NonAbelianDegeneracyError, ValidationError):
+        return None
+
+
+def _two_qubit_cost(target: np.ndarray, penalty_weight: float, coupling: float):
     def cost(x: np.ndarray) -> float:
-        try:
-            u = np.eye(4, dtype=complex)
-            penalty = 0.0
-            for k in range(0, 7 * n_loops, 7):
-                seq = two_qubit_sequence_from_vector(x[k : k + 7], coupling)
-                seg = seq.segments[0]
-                useg, gd = segment_evolution(seg, _search_grid(seg))
-                u = useg @ u
-                penalty += float(np.abs(gd).sum())
-            return 1.0 - unitary_fidelity(target, u) + penalty_weight * penalty
-        except (EigenvalueCrossingError, NonAbelianDegeneracyError, ValidationError):
+        out = _two_qubit_evolution(x, coupling)
+        if out is None:
             return 2.0
+        u, gd = out
+        return 1.0 - unitary_fidelity(target, u) + penalty_weight * _phase_penalty(gd)
 
     return cost
 
@@ -291,7 +291,17 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def _run_restarts(cost, bounds, seed: int, restarts: int, options: dict, workers: int = 1):
+def _require_search_counts(seed: int, restarts: int, max_evals: int | None, workers: int):
+    if seed < 0 or restarts < 1 or (max_evals is not None and max_evals < 1) or workers < 1:
+        raise ValidationError("need seed >= 0 and restarts, max_evals, workers >= 1; "
+                              f"got {seed}, {restarts}, {max_evals}, {workers}")
+
+
+def _run_restarts(cost, bounds, seed: int, restarts: int, options: dict, workers: int = 1,
+                  max_evals: int | None = None):
+    _require_search_counts(seed, restarts, max_evals, workers)
+    if max_evals is not None:
+        options = options | {"maxfev": int(max_evals), "maxiter": int(max_evals)}
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
@@ -340,32 +350,23 @@ def synthesize(problem: SynthesisProblem, workers: int = 1) -> SynthesisResult:
     bounds = problem.full_bounds()
     if problem.n_qubits == 1:
         cost = _closed_form_cost(problem.target, problem.n_loops)
-        options = dict(_NM_OPTIONS)
+        options = _NM_OPTIONS
         sequence_of = single_qubit_sequence_from_vector
     else:
-        cost = _two_qubit_cost(
-            problem.target, problem.n_loops, problem.penalty_weight, problem.coupling
-        )
-        options = dict(_NM_OPTIONS_2Q)
+        cost = _two_qubit_cost(problem.target, problem.penalty_weight, problem.coupling)
+        options = _NM_OPTIONS_2Q
         sequence_of = lambda x: two_qubit_sequence_from_vector(x, problem.coupling)
-    if problem.max_evals is not None:
-        options["maxfev"] = int(problem.max_evals)
-        options["maxiter"] = int(problem.max_evals)
 
-    candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options, workers)
+    candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options,
+                               workers, problem.max_evals)
     _, seq = _pick_best(candidates, sequence_of)
 
-    u = np.eye(2 ** problem.n_qubits, dtype=complex)
-    max_gd = 0.0
-    for seg in seq:
-        useg, gd = segment_evolution(seg)
-        u = useg @ u
-        max_gd = max(max_gd, float(np.abs(gd).max()))
+    u, gd = sequence_evolution(seq)
     fidelity = unitary_fidelity(problem.target, u)
     return SynthesisResult(
         sequence=seq,
         fidelity=fidelity,
-        max_abs_dynamical_phase=max_gd,
+        max_abs_dynamical_phase=float(np.abs(gd).max()),
         gate_length=gate_length(seq),
         converged=fidelity >= problem.fidelity_goal,
         restarts=problem.restarts,
@@ -373,7 +374,7 @@ def synthesize(problem: SynthesisProblem, workers: int = 1) -> SynthesisResult:
     )
 
 
-_PAULI_LABELS_2Q, _PAULI_STACK_2Q = pauli_basis(2)
+_PAULI_STACK_2Q = pauli_basis(2)[1]
 
 
 def correlation_matrix(u: np.ndarray) -> np.ndarray:
@@ -423,41 +424,34 @@ def find_entangling(
     bounds = tuple(bounds) if bounds is not None else TWO_QUBIT_BOUNDS
     if len(bounds) != 7:
         raise ValidationError("entangler search uses 7 parameters (single loop)")
-    options = dict(_NM_OPTIONS_2Q)
-    if max_evals is not None:
-        options["maxfev"] = int(max_evals)
-        options["maxiter"] = int(max_evals)
 
     def cost(x: np.ndarray) -> float:
-        try:
-            seq = two_qubit_sequence_from_vector(x, coupling)
-            seg = seq.segments[0]
-            u, gd = segment_evolution(seg, _search_grid(seg))
-            m = float(correlation_singular_values(u)[1])
-            return m + penalty_weight * float(np.abs(gd).sum())
-        except (EigenvalueCrossingError, NonAbelianDegeneracyError, ValidationError):
+        out = _two_qubit_evolution(x, coupling)
+        if out is None:
             return 10.0
+        u, gd = out
+        return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
 
-    candidates = _run_restarts(cost, bounds, seed, restarts, options, workers)
+    candidates = _run_restarts(
+        cost, bounds, seed, restarts, _NM_OPTIONS_2Q, workers, max_evals
+    )
 
-    best = None  # (key, seq, m, s2, max_gd)
-    for fun, x in candidates:
-        seq = two_qubit_sequence_from_vector(x, coupling)
-        seg = seq.segments[0]
-        try:
-            u, gd = segment_evolution(seg)
-        except (EigenvalueCrossingError, NonAbelianDegeneracyError, ValidationError):
+    best = None  # (key, x, m, max_gd)
+    for _, x in candidates:
+        out = _two_qubit_evolution(x, coupling, None)
+        if out is None:
             continue
+        u, gd = out
         sv = correlation_singular_values(u)
         m, s2 = float(sv[1]), float(sv[2])
-        separable = s2 < SEPARABLE_S2
-        accepted = (not separable) and m < score_tol
+        accepted = not s2 < SEPARABLE_S2 and m < score_tol
         key = (accepted, -m)
         if best is None or key > best[0]:
-            best = (key, seq, m, s2, float(np.abs(gd).max()))
+            best = (key, x, m, float(np.abs(gd).max()))
     if best is None:
         raise ValidationError("no evaluable candidate produced by the search")
-    _, seq, m, s2, max_gd = best
+    _, x, m, max_gd = best
+    seq = two_qubit_sequence_from_vector(x, coupling)
     return SynthesisResult(
         sequence=seq,
         fidelity=None,

@@ -22,7 +22,7 @@ from hologate import (
     sequence_propagator,
     simulate_qpt,
 )
-from hologate import tables
+from hologate import linalg, synthesis, tables
 from hologate.linalg import PAULI_1Q, pauli_basis
 
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
@@ -68,6 +68,19 @@ def density_matrix_rb(impl, ideal, eps_clifford, eps_target, m_values, n_sequenc
 
 
 class TestPauliTransfer:
+    def test_basis_built_once_per_qubit_count(self, monkeypatch):
+        _, basis = pauli_basis(2)
+        assert pauli_basis(2)[1] is basis and synthesis._PAULI_STACK_2Q is basis
+        assert not basis.flags.writeable
+        pauli_transfer(SX)
+
+        def no_kron(*ops):
+            raise AssertionError("Pauli basis rebuilt")
+
+        monkeypatch.setattr(linalg, "kron", no_kron)
+        pauli_transfer(SX)
+        pauli_transfer(named_gate("CNOT"))
+
     def test_identity_channel(self):
         t = pauli_transfer(np.eye(2, dtype=complex))
         np.testing.assert_allclose(t.matrix, np.eye(4), atol=1e-14)
@@ -260,6 +273,8 @@ class TestRb:
             rb_run(eps_clifford=1.5, m_values=(2,), n_sequences=2)
         with pytest.raises(ValidationError):
             rb_run(target="X", eps_target=float("nan"), m_values=(2,), n_sequences=2)
+        with pytest.raises(ValidationError):
+            rb_run(seed=-1, m_values=(2,), n_sequences=2)
 
 
 class TestRbGateFidelity:

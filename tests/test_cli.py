@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hologate.cli import main
-from hologate import tables
+from hologate import propagation, tables
 
 
 @pytest.fixture
@@ -38,6 +38,15 @@ class TestTablesCommand:
         assert run_cli(["tables", "--output", a]) == 0
         assert run_cli(["tables", "--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_eigenframe_per_published_segment(self, tmp_path, monkeypatch):
+        # 5 two-loop 1q tables, the 5-loop CNOT table and the entangler row
+        builds = []
+        original = propagation.build_eigenframe
+        monkeypatch.setattr(propagation, "build_eigenframe",
+                            lambda *a, **k: builds.append(a) or original(*a, **k))
+        assert run_cli(["tables", "--output", tmp_path / "t.json"]) == 0
+        assert len(builds) == 16
 
 
 class TestVerifyDi:
@@ -218,6 +227,53 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli(["qpt", "--gate", "SWAP"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in ("tables", "verify-di", "phases", "gate", "qpt")
+        for flag in ("--seed", "--jobs")
+    ] + [("rb", "--jobs"), ("verify-di", "--grid")])
+    def test_unread_options_rejected(self, command, flag, x_sequence_file, capsys):
+        # every other argument is valid, so the option alone is refused
+        needs = {"verify-di": ["--input", x_sequence_file], "phases": ["--input", x_sequence_file],
+                 "gate": ["--input", x_sequence_file], "qpt": ["--gate", "X"], "rb": ["--gate", "X"]}
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *needs.get(command, []), flag, "1024"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def _problem(self, tmp_path, **extra):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"target": "X", "n_loops": 1, "restarts": 1} | extra))
+        return path
+
+    def test_synth_negative_seed(self, tmp_path):
+        assert run_cli(["synth", "--input", self._problem(tmp_path), "--seed", "-1"]) == 2
+
+    def test_synth_zero_max_evals_in_problem(self, tmp_path):
+        assert run_cli(["synth", "--input", self._problem(tmp_path, max_evals=0)]) == 2
+
+    def test_synth_zero_jobs(self, tmp_path):
+        assert run_cli(["synth", "--input", self._problem(tmp_path), "--jobs", "0"]) == 2
+
+    def test_entangle_negative_seed(self):
+        assert run_cli(["entangle", "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("restarts", ["-1", "0"])
+    def test_entangle_bad_restarts(self, restarts):
+        assert run_cli(["entangle", "--restarts", restarts]) == 2
+
+    def test_entangle_zero_max_evals(self):
+        assert run_cli(["entangle", "--max-evals", "0"]) == 2
+
+    def test_entangle_zero_jobs(self):
+        assert run_cli(["entangle", "--jobs", "0"]) == 2
+
+    def test_rb_negative_seed(self):
+        assert run_cli(["rb", "--seed", "-1", "--m-values", "2", "--n-seq", "2"]) == 2
+
+    def test_rb_non_integer_m_values(self, capsys):
+        assert run_cli(["rb", "--m-values", "2,x", "--n-seq", "2"]) == 2
+        assert "--m-values" in capsys.readouterr().err
 
 
 def test_commands_without_search_leave_scipy_unloaded(x_sequence_file, tmp_path):

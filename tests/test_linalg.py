@@ -10,7 +10,7 @@ from hologate import (
     unitary_exp,
     unitary_fidelity,
 )
-from hologate.linalg import PAULI_1Q, pauli_labels, product
+from hologate.linalg import PAULI_1Q, pauli_labels
 
 SX, SY, SZ = PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]
 
@@ -144,9 +144,3 @@ def test_named_gates():
     np.testing.assert_allclose(named_gate("T") @ named_gate("T"), named_gate("P"), atol=1e-15)
     with pytest.raises(ValidationError):
         named_gate("SWAP")
-
-
-def test_product_order():
-    # first operator acts first: product([A, B]) = B @ A
-    a, b = SX, unitary_exp(SZ, 0.4)
-    np.testing.assert_allclose(product([a, b]), b @ a, atol=1e-15)

@@ -13,6 +13,7 @@ from hologate import (
     named_gate,
     ode_propagator,
     phases,
+    sequence_evolution,
     sequence_propagator,
     single_qubit_loop_gate,
     unitary_exp,
@@ -28,8 +29,8 @@ from hologate.propagation import (
     _require_abelian,
     _transport,
     ode_trajectory,
+    segment_evolution,
 )
-from hologate.synthesis import SEARCH_POINTS_PER_PERIOD, _search_grid
 from conftest import random_cyclic_params
 
 TWO_PI = 2.0 * np.pi
@@ -89,7 +90,6 @@ class TestBuildEigenframe:
         assert p.cycle_counts()[0] > 1.0
         assert build_eigenframe(p).times.size == DEFAULT_FRAME_POINTS + 1
         assert build_eigenframe(p, 256).times.size == 257
-        assert _search_grid(p) == SEARCH_POINTS_PER_PERIOD
         np.testing.assert_array_equal(ode_propagator(p), ode_propagator(p, DEFAULT_ODE_POINTS))
 
     def test_crossing_detection_on_synthetic_swap(self):
@@ -289,3 +289,17 @@ def test_sequence_propagator_order(rng):
     ua = eigenframe_propagator(a)
     ub = eigenframe_propagator(b)
     np.testing.assert_allclose(sequence_propagator(seq), ub @ ua, atol=1e-12)
+
+
+def test_sequence_evolution_is_the_segment_loop(rng):
+    seq = LoopSequence(tuple(random_cyclic_params(rng, 2) for _ in range(3)))
+    u, gd = sequence_evolution(seq, 2048)
+    u_loop, gd_loop = np.eye(4, dtype=complex), []
+    for seg in seq:
+        useg, g = segment_evolution(seg, 2048)
+        u_loop = useg @ u_loop
+        gd_loop.append(g)
+    np.testing.assert_array_equal(u, u_loop)
+    np.testing.assert_array_equal(gd, np.stack(gd_loop))
+    assert gd.shape == (3, 4)
+    np.testing.assert_array_equal(sequence_propagator(seq, 2048), u)

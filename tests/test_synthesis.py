@@ -176,6 +176,18 @@ class TestSynthesize:
             SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1,
                              bounds=((1.0, 0.5),))
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("restarts", 0), ("restarts", -1), ("max_evals", 0),
+    ])
+    def test_problem_counts_validated(self, field, value):
+        with pytest.raises(ValidationError):
+            SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1, **{field: value})
+
+    def test_zero_workers_rejected(self):
+        problem = SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1, restarts=1)
+        with pytest.raises(ValidationError):
+            synthesize(problem, workers=0)
+
     def test_problem_from_dict(self):
         problem = SynthesisProblem.from_dict(
             {"target": "P", "n_loops": 2, "seed": 7, "restarts": 4}
@@ -243,6 +255,13 @@ class TestFindEntangling:
     def test_bounds_arity(self):
         with pytest.raises(ValidationError):
             find_entangling(bounds=((0.0, 1.0),) * 3)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(restarts=0), dict(restarts=-1), dict(max_evals=0), dict(workers=0),
+    ])
+    def test_counts_validated(self, kwargs):
+        with pytest.raises(ValidationError):
+            find_entangling(**kwargs)
 
 
 class TestGateLength:
