@@ -1,11 +1,12 @@
 """Holonomic quantum gates from dynamical invariants.
 
 The package builds drive+Zeeman+Ising pulse Hamiltonians together with their
-closed-form dynamical invariants, propagates exactly in the invariant
-eigenframe, splits cyclic phases into geometric and dynamical parts,
-optimizes pulse parameters toward target gates under the vanishing
-dynamical-phase constraint, and characterizes the results with simulated
-process tomography and randomized benchmarking.
+closed-form dynamical invariants, propagates each segment in closed form in
+the frame rotating with its drive (one small eigendecomposition, checked
+against a fourth-order Magnus integrator), splits cyclic phases into
+geometric and dynamical parts, optimizes pulse parameters toward target
+gates under the vanishing dynamical-phase constraint, and characterizes the
+results with simulated process tomography and randomized benchmarking.
 """
 
 from .linalg import (
@@ -30,11 +31,9 @@ from .model import (
     invariant_path,
 )
 from .propagation import (
-    EigenFrame,
     EigenvalueCrossingError,
     NonAbelianDegeneracyError,
     PhaseRecord,
-    build_eigenframe,
     eigenframe_propagator,
     loop_params,
     ode_propagator,

@@ -242,20 +242,20 @@ def fit_decay(
     return None, None, False
 
 
-def _resolve_target(target, target_ideal, n_t):
+def _resolve_target(target, target_ideal):
     """Implemented unitary and the intended unitary used for recovery."""
-    impl = _plain_unitary(target, n_t)
-    ideal = impl if target_ideal is None else _plain_unitary(target_ideal, n_t)
+    impl = _plain_unitary(target)
+    ideal = impl if target_ideal is None else _plain_unitary(target_ideal)
     if impl.shape != (2, 2) or ideal.shape != (2, 2):
         raise ValidationError("benchmarking is implemented for single-qubit gates")
     return impl, ideal
 
 
-def _plain_unitary(obj, n_t):
+def _plain_unitary(obj):
     if isinstance(obj, str):
         return named_gate(obj)
     if isinstance(obj, LoopSequence):
-        return sequence_propagator(obj, n_t)
+        return sequence_propagator(obj)
     return np.asarray(obj, dtype=complex)
 
 
@@ -277,7 +277,6 @@ def rb_run(
     m_values: Sequence[int] = (2, 4, 8, 16, 32, 64),
     n_sequences: int = 40,
     seed: int = 0,
-    n_t: int | None = None,
 ) -> RBRun:
     """Reference and interleaved randomized benchmarking on the Z observable.
 
@@ -309,7 +308,7 @@ def rb_run(
     dep_target = pauli_transfer(DepolarizingChannel(eps_target)).matrix
     impl = ideal = None
     if target is not None:
-        impl, ideal = _resolve_target(target, target_ideal, n_t)
+        impl, ideal = _resolve_target(target, target_ideal)
     z = pauli_labels(1).index("Z")
 
     def run_variant(interleave: bool, noisy: np.ndarray, intended: np.ndarray) -> RBRecord:

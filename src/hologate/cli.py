@@ -98,7 +98,6 @@ def _print_checks(checks: list[dict]) -> None:
 
 def cmd_tables(args) -> int:
     checks: list[dict] = []
-    grid = args.grid
     for gate, published in tables.PUBLISHED_GATE_LENGTHS.items():
         if gate == "P_fast":
             seq = tables.fast_phase_sequence()
@@ -106,29 +105,28 @@ def cmd_tables(args) -> int:
         else:
             seq = tables.single_qubit_sequence(gate)
             target = named_gate(gate)
-        u, gd = sequence_evolution(seq, grid)
+        u, gd = sequence_evolution(seq)
         checks.append(_check(f"fidelity[{gate}]", unitary_fidelity(target, u), 0.999, "min"))
         checks.append(_check(f"dynamical_phase[{gate}]", float(np.abs(gd).max()), 1e-4, "max"))
         rel = abs(gate_length(seq) - published) / published
         checks.append(_check(f"gate_length[{gate}]", rel, 1e-2, "max"))
 
     cnot = tables.cnot_sequence()
-    u, gd = sequence_evolution(cnot, grid)
+    u, gd = sequence_evolution(cnot)
     checks.append(_check("fidelity[CNOT]", unitary_fidelity(named_gate("CNOT"), u), 0.99, "min"))
     for k, (seg, seg_gd) in enumerate(zip(cnot, gd)):
         bound = 1e-2 * seg.couplings[(0, 1)] * seg.duration
         checks.append(_check(f"dynamical_phase[CNOT P{k + 1}]",
                              float(np.abs(seg_gd).max()), bound, "max"))
 
-    u_ent = sequence_propagator(LoopSequence((tables.entangler_params(),)), grid)
+    u_ent = sequence_propagator(LoopSequence((tables.entangler_params(),)))
     sv = correlation_singular_values(u_ent)
     checks.append(_check("entangling_score[table]", float(sv[1]), 1e-2, "max"))
     checks.append(_check("non_separability[table]", float(sv[2]), 1e-2, "min"))
 
     _print_checks(checks)
     failed = [c for c in checks if not c["pass"]]
-    doc = {"command": "tables", "grid": grid, "checks": checks,
-           "n_failed": len(failed)}
+    doc = {"command": "tables", "checks": checks, "n_failed": len(failed)}
     if args.output:
         Path(args.output).write_text(dumps_report(doc))
     return 1 if failed else 0
@@ -157,27 +155,25 @@ def cmd_verify_di(args) -> int:
 
 def cmd_phases(args) -> int:
     seq = _load_sequence(args.input)
-    records = sequence_phases(seq, args.grid)
+    records = sequence_phases(seq)
     mismatch = max(
         max(abs(np.exp(1j * a) - np.exp(1j * (g + d)))
             for a, g, d in zip(r.alpha_total, r.gamma_geometric, r.gamma_dynamical))
         for r in records
     )
-    _emit({"command": "phases", "grid": args.grid,
-           "segments": [r.to_dict() for r in records],
+    _emit({"command": "phases", "segments": [r.to_dict() for r in records],
            "phase_closure_mismatch": float(mismatch)}, args.output)
     return 0
 
 
 def cmd_gate(args) -> int:
     seq = _load_sequence(args.input)
-    u = sequence_propagator(seq, args.grid)
+    u = sequence_propagator(seq)
     u_ode = np.eye(seq.segments[0].dim, dtype=complex)
     for seg in seq:
         u_ode = ode_propagator(seg) @ u_ode
     doc = {
         "command": "gate",
-        "grid": args.grid,
         "oracle_distance": float(np.linalg.norm(u - u_ode)),
         "gate_length": gate_length(seq),
         "matrix": _matrix_doc(u),
@@ -226,13 +222,13 @@ def cmd_entangle(args) -> int:
     return 0
 
 
-def _channel_for(args, n_t):
+def _channel_for(args):
     if args.gate:
         u = named_gate(args.gate)
         ideal_name = args.target or args.gate
     else:
         seq = _load_sequence(args.input)
-        u = sequence_propagator(seq, n_t)
+        u = sequence_propagator(seq)
         ideal_name = args.target
     channel = UnitaryChannel(u)
     if args.noise_eps:
@@ -243,7 +239,7 @@ def _channel_for(args, n_t):
 def cmd_qpt(args) -> int:
     if not args.gate and not args.input:
         raise ValidationError("qpt needs --gate or --input")
-    channel, ideal_name = _channel_for(args, args.grid)
+    channel, ideal_name = _channel_for(args)
     transfer, settings = simulate_qpt(channel)
     doc = {
         "command": "qpt",
@@ -273,7 +269,6 @@ def cmd_rb(args) -> int:
         m_values=m_values,
         n_sequences=args.n_seq,
         seed=args.seed or 0,
-        n_t=args.grid,
     )
     doc = {"command": "rb", "reference": run.reference.to_dict()}
     if run.interleaved is not None:
@@ -304,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "seed": dict(type=int, default=None),
         "jobs": dict(type=int, default=1, help="worker threads for independent restarts"),
-        "grid": dict(type=int, default=None,
-                     help="time-grid points per segment (default: automatic)"),
     }
 
     def common(p, *names):
@@ -315,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", **options[name])
 
     p = sub.add_parser("tables", help="verify the embedded published tables")
-    common(p, "grid")
+    common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify-di", help="check the invariant identity and residual")
@@ -326,12 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_di)
 
     p = sub.add_parser("phases", help="geometric/dynamical phase split per segment")
-    common(p, "grid")
+    common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("gate", help="propagate a sequence and compare to a target")
-    common(p, "grid")
+    common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None)
     p.set_defaults(func=cmd_gate)
@@ -353,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("qpt", help="Pauli-basis process tomography of a gate")
-    common(p, "grid")
+    common(p)
     p.add_argument("--gate", choices=sorted(GATES), default=None)
     p.add_argument("--input", default=None, help="LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None,
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("rb", help="reference + interleaved randomized benchmarking")
-    common(p, "grid", "seed")
+    common(p, "seed")
     p.add_argument("--gate", choices=sorted(GATES), default=None)
     p.add_argument("--input", default=None, help="LoopSequence JSON for the target")
     p.add_argument("--target", choices=sorted(GATES), default=None,

@@ -14,7 +14,8 @@ invariant,
 
 equals 2 H(t) - sum_i w_i sz_i identically and satisfies
 dI/dt + i [H, I] = 0, so its eigenvalues are constant and its eigenframe
-carries the exact evolution.
+carries the exact evolution. Both are H(0) and I(0) seen in the frame that
+rotates about z at the drive frequencies (`frame_frequencies`).
 """
 from __future__ import annotations
 
@@ -243,6 +244,12 @@ def hamiltonian_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
         out += 0.5 * om * np.cos(arg)[:, None, None] * sx[i]
         out += 0.5 * om * np.sin(arg)[:, None, None] * sy[i]
     return out
+
+
+def frame_frequencies(p: PulseParams) -> np.ndarray:
+    """Diagonal of Z = sum_i w_i sz_i in the computational basis. The frame
+    R(t) = exp(-i t Z / 2) carries H(0) to H(t) = R(t) H(0) R(t)^dag."""
+    return np.diag(_drive_terms(p)[3]).real
 
 
 def invariant_from_hamiltonian(p: PulseParams, h_path: np.ndarray) -> np.ndarray:

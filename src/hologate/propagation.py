@@ -1,15 +1,16 @@
-"""Exact propagation in the invariant eigenframe, phase decomposition, and an
-independent time-ordered integration oracle.
+"""Closed-form propagation, the geometric/dynamical phase split, and two
+independent references.
 
-The evolution operator of a segment is assembled from the gauge-fixed
-eigenframe of the dynamical invariant,
+With R(t) = exp(-i t Z / 2) and Z = sum_i w_i sz_i, H(t) = R(t) H(0) R(t)^dag
+and I(t) = 2 R(t) H_eff R(t)^dag with H_eff = H(0) - Z / 2 (Lewis & Riesenfeld,
+J. Math. Phys. 10, 1458 (1969)). So U(t) = R(t) exp(-i t H_eff), the invariant
+eigenframe is R(t)|u_n> with H_eff |u_n> = e_n |u_n>, and over a cyclic
+segment gd_n = -tau <u_n|H(0)|u_n> and gg_n = (tau / 2) <u_n|Z|u_n> +
+arg <u_n|R(tau)|u_n> (the Aharonov-Anandan phase): one small `eigh` each.
 
-    U(tau) = sum_n exp(i gd_n) |v_n(tau)><v_n(0)| ,
-
-where the vectors are parallel-transported (successive overlaps real and
-positive) so the Berry-connection part of the Lewis-Riesenfeld phase sits in
-the endpoint vectors and only the dynamical phase gd_n appears explicitly.
-`ode_propagator` provides the independent midpoint-exponential oracle.
+The references use none of that: `ode_propagator` integrates the lab-frame
+H(t) with a fourth-order commutator-free Magnus scheme, and `build_eigenframe`
+samples and parallel-transports the invariant eigenframe on a time grid.
 """
 from __future__ import annotations
 
@@ -23,18 +24,22 @@ from .model import (
     TWO_PI,
     LoopSequence,
     PulseParams,
+    frame_frequencies,
     hamiltonian_path,
     invariant_from_hamiltonian,
 )
 
-#: Grid points per drive period used by default for eigenframe quantities.
+#: Grid points per drive period used by default for the sampled eigenframe.
 DEFAULT_FRAME_POINTS = 8192
-#: Grid points per drive period used by default for the integration oracle.
-DEFAULT_ODE_POINTS = 16384
+#: Default integration-oracle steps per started drive period ...
+ODE_STEPS_PER_PERIOD = 256
+#: ... and per unit of tau * ||H||, with ||H|| bounded by
+#: sum |W_i| / 2 + sum |D_i| / 2 + sum |J_ij| / 4; the larger count is used.
+ODE_STEPS_PER_ACTION = 16
 #: Resolution floor: the eigenframe grid must carry at least this many
 #: samples per drive period.
 MIN_POINTS_PER_PERIOD = 256
-#: Relative gap below which invariant eigenvalues are treated as degenerate.
+#: Relative gap below which invariant (or H_eff) eigenvalues are degenerate.
 DEGENERACY_RTOL = 1e-7
 
 
@@ -55,18 +60,12 @@ class EigenFrame:
 
     `values` holds the d constant eigenvalues (ascending); `vectors` has
     shape (n_t + 1, d, d) with eigenvectors as columns, phase-fixed so that
-    successive per-column overlaps are real and positive. `hamiltonian`
-    holds H(t) on the same grid, shape (n_t + 1, d, d).
+    successive per-column overlaps are real and positive.
     """
 
     times: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
-    hamiltonian: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
     def min_step_overlap(self) -> float:
         """Smallest |<v_k(t_j)|v_k(t_{j+1})>| over the grid."""
@@ -88,9 +87,9 @@ class PhaseRecord:
     """Total, geometric, and dynamical phase per invariant eigenstate.
 
     `gamma_geometric` is reduced into (-pi, pi]; `gamma_dynamical` is the
-    unwound quadrature value; `alpha_total` is the phase of the propagator
-    matrix element in the starting eigenbasis and equals
-    gamma_geometric + gamma_dynamical (mod 2pi) up to quadrature error.
+    unwound value -tau <u_n|H(0)|u_n>; `alpha_total` is the phase of the
+    propagator matrix element in the starting eigenbasis and equals
+    gamma_geometric + gamma_dynamical (mod 2pi) up to rounding.
     """
 
     alpha_total: tuple[float, ...]
@@ -110,10 +109,10 @@ def _grid_size(p: PulseParams, per_period: int) -> int:
     return int(np.ceil(max(p.period_count(), 1.0))) * per_period
 
 
-def _resolve_grid(p: PulseParams, n_t: int | None, per_period: int) -> int:
+def _resolve_grid(p: PulseParams, n_t: int | None) -> int:
     periods = p.period_count()
     if n_t is None:
-        return max(1024, _grid_size(p, per_period))
+        return _grid_size(p, DEFAULT_FRAME_POINTS)
     n_t = int(n_t)
     if periods > 0 and n_t < MIN_POINTS_PER_PERIOD * periods:
         raise ValidationError(
@@ -153,10 +152,10 @@ def _transport(values: np.ndarray, vectors: np.ndarray, h_path: np.ndarray) -> n
                 "eigenvector ordering swapped between adjacent samples; "
                 "increase the grid size"
             )
-        beta = np.concatenate(
-            [np.zeros((1, values.size)), -np.cumsum(np.angle(c), axis=0)]
-        )
-        return vectors * np.exp(1j * beta)[:, None, :]
+        # a running product of unit phases, not a sum of angles: the summed
+        # gauge angles grow with the grid and lose digits
+        fix = np.cumprod(np.abs(c) / c, axis=0)
+        return vectors * np.concatenate([np.ones((1, values.size)), fix])[:, None, :]
 
     out = vectors.copy()
     for g in groups:
@@ -214,12 +213,13 @@ def _require_abelian(values, vectors, h_path, groups, tol: float = 1e-6) -> None
 def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
     """Invariant eigenframe on a uniform grid over [0, duration].
 
-    Eigenvectors are gauge-fixed by positive-real successive overlaps;
-    degenerate blocks are aligned by subspace projection. Raises
-    `EigenvalueCrossingError` when adjacent samples cannot be matched (the
-    caller should refine the grid).
+    A sampled reference for the closed form: eigenvectors are gauge-fixed by
+    positive-real successive overlaps (discrete parallel transport), so
+    arg <v_n(0)|v_n(tau)> is the discrete Berry holonomy; degenerate blocks
+    are aligned by subspace projection. Raises `EigenvalueCrossingError` when
+    adjacent samples cannot be matched (the caller should refine the grid).
     """
-    n_t = _resolve_grid(p, n_t, DEFAULT_FRAME_POINTS)
+    n_t = _resolve_grid(p, n_t)
     times = np.linspace(0.0, p.duration, n_t + 1)
     h_path = hamiltonian_path(p, times)
     vals, vecs = np.linalg.eigh(invariant_from_hamiltonian(p, h_path))
@@ -229,95 +229,69 @@ def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
             "invariant spectrum drifts along the grid; increase the grid size"
         )
     vecs = _transport(vals[0], vecs, h_path)
-    return EigenFrame(times=times, values=vals[0], vectors=vecs, hamiltonian=h_path)
+    return EigenFrame(times=times, values=vals[0], vectors=vecs)
 
 
-def _dynamical_phases(frame: EigenFrame) -> np.ndarray:
-    expect = np.einsum(
-        "tik,tij,tjk->tk", frame.vectors.conj(), frame.hamiltonian, frame.vectors
-    ).real
-    return -np.trapezoid(expect, frame.times, axis=0)
+def _evolve(p: PulseParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed form of one cyclic segment: (u_n as columns, U(tau), gd, gg).
 
-
-def _evolve(p: PulseParams, n_t: int | None) -> tuple[EigenFrame, np.ndarray, np.ndarray]:
-    """The frame pass of `segment_evolution` and `phases`: (frame, U, gd)."""
+    Inside a degenerate H_eff block the basis diagonalizes H(0), the Abelian
+    representative; U is built before that rotation, from eigh's own pairs.
+    """
     p.require_cyclic()
-    frame = build_eigenframe(p, n_t)
-    gd = _dynamical_phases(frame)
-    u = (frame.vectors[-1] * np.exp(1j * gd)) @ frame.vectors[0].conj().T
-    return frame, u, gd
+    tau = p.duration
+    h0 = hamiltonian_path(p, (0.0,))[0]
+    z = frame_frequencies(p)
+    vals, vecs = np.linalg.eigh(h0 - np.diag(0.5 * z))
+    r = np.exp(-0.5j * tau * z)  # R(tau), diagonal
+    u = (r[:, None] * vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
+    for g in _degenerate_groups(vals):
+        if g.stop - g.start > 1:
+            blk = vecs[:, g]
+            vecs[:, g] = blk @ np.linalg.eigh(blk.conj().T @ h0 @ blk)[1]
+    weights = np.abs(vecs) ** 2  # |<b|u_n>|^2: Z and R(tau) are diagonal
+    gd = -tau * (vecs.conj() * (h0 @ vecs)).sum(axis=0).real
+    gg = np.angle((r @ weights) * np.exp(0.5j * tau * (z @ weights)))
+    return vecs, u, gd, gg
 
 
-def segment_evolution(
-    p: PulseParams, n_t: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator and per-eigenstate dynamical phases from one frame build."""
-    return _evolve(p, n_t)[1:]
+def segment_evolution(p: PulseParams) -> tuple[np.ndarray, np.ndarray]:
+    """Propagator and per-eigenstate dynamical phases of one cyclic segment."""
+    return _evolve(p)[1:3]
 
 
-def eigenframe_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
-    """Evolution operator over one cyclic segment from the invariant frame."""
-    return segment_evolution(p, n_t)[0]
+def eigenframe_propagator(p: PulseParams) -> np.ndarray:
+    """Evolution operator over one cyclic segment, R(tau) exp(-i tau H_eff)."""
+    return segment_evolution(p)[0]
 
 
-def sequence_evolution(
-    seq: LoopSequence, n_t: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def sequence_evolution(seq: LoopSequence) -> tuple[np.ndarray, np.ndarray]:
     """Gate of a loop sequence (first segment acts first) and the dynamical
-    phases of its segments, shape (segments, dim); one frame build each."""
+    phases of its segments, shape (segments, dim)."""
     u = np.eye(seq.segments[0].dim, dtype=complex)
     gds = []
     for seg in seq:
-        useg, gd = segment_evolution(seg, n_t)
+        useg, gd = segment_evolution(seg)
         u = useg @ u
         gds.append(gd)
     return u, np.stack(gds)
 
 
-def phases(p: PulseParams, n_t: int | None = None) -> PhaseRecord:
+def phases(p: PulseParams) -> PhaseRecord:
     """Geometric/dynamical phase split over one cyclic segment.
 
-    The geometric phase is the holonomy of the transported frame,
-    gg_n = arg <v_n(0)|v_n(tau)>, i.e. the discrete Berry-connection loop
-    integral; the dynamical phase is the trapezoid quadrature of
-    -<v_n|H|v_n>. Degenerate blocks use the eigenphases of the closure
-    overlap block.
-
-    alpha_total is read from a propagator built from the same frame and gd,
-    so alpha = gg + gd (mod 2pi) to about 1e-15 by construction: a
-    consistency value, not an oracle check (`ode_propagator` is the oracle).
+    gg_n = (tau / 2) <u_n|Z|u_n> + arg <u_n|R(tau)|u_n> is the holonomy of the
+    parallel-transported frame R(t)|u_n>, and gd_n = -tau <u_n|H(0)|u_n>.
+    alpha_total is read from the closed-form propagator, so
+    alpha = gg + gd (mod 2pi) to about 1e-15 by construction: a consistency
+    value, not an oracle check (`ode_propagator` is the oracle).
     """
-    frame, u, gd = _evolve(p, n_t)
-    gg = np.empty(frame.dim)
-    for g in _degenerate_groups(frame.values):
-        w = frame.vectors[0][:, g].conj().T @ frame.vectors[-1][:, g]
-        if g.stop - g.start == 1:
-            gg[g] = np.angle(w[0, 0])
-        else:
-            off = w - np.diag(np.diag(w))
-            if np.abs(off).max() > 1e-3:
-                raise NonAbelianDegeneracyError(
-                    "holonomy mixes a degenerate invariant subspace; "
-                    "segment rejected (non-Abelian holonomy unsupported)"
-                )
-            gg[g] = np.angle(np.diag(w))
-    alpha = np.angle(
-        np.einsum("ik,ij,jk->k", frame.vectors[0].conj(), u, frame.vectors[0])
-    )
+    vecs, u, gd, gg = _evolve(p)
+    alpha = np.angle(np.einsum("ik,ij,jk->k", vecs.conj(), u, vecs))
     return PhaseRecord(
         alpha_total=tuple(float(a) for a in alpha),
         gamma_geometric=tuple(float(g) for g in gg),
         gamma_dynamical=tuple(float(g) for g in gd),
-    )
-
-
-def _midpoint_factors(p: PulseParams, n_t: int) -> np.ndarray:
-    dt = p.duration / n_t
-    mid = (np.arange(n_t) + 0.5) * dt
-    h = hamiltonian_path(p, mid)
-    vals, vecs = np.linalg.eigh(h)
-    return np.einsum(
-        "tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj()
     )
 
 
@@ -334,50 +308,55 @@ def _ordered_product(factors: np.ndarray) -> np.ndarray:
     return factors[0]
 
 
+#: Gauss nodes c and weights a1, a2 of the two-exponential fourth-order
+#: commutator-free Magnus scheme (Blanes & Moan, J. Comput. Phys. 170, 205
+#: (2001)).
+_CF4_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_CF4_A1, _CF4_A2 = 0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0
+
+
+def _ode_steps(p: PulseParams) -> int:
+    """Default step count of `ode_propagator`."""
+    norm = (sum(map(abs, p.omega_drive + p.detuning)) / 2
+            + sum(map(abs, p.couplings.values())) / 4)
+    return max(_grid_size(p, ODE_STEPS_PER_PERIOD),
+               math.ceil(ODE_STEPS_PER_ACTION * norm * p.duration))
+
+
 def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
-    """Independent oracle: midpoint-exponential product integrator.
+    """Independent oracle: fourth-order commutator-free Magnus integrator.
 
-    U(tau) ~ prod_j exp(-i H(t_j + dt/2) dt), latest factor leftmost;
-    second-order accurate in dt and exactly unitary.
+    Works on the lab-frame H(t) alone (no invariant, no rotating frame).
+    Each of the n_t steps [t, t + dt] applies
+
+        exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2)),
+
+    right factor first, with H1, H2 = H(t + c dt) at the Gauss nodes
+    c = 1/2 -+ sqrt(3)/6 and a1, a2 = 1/4 +- sqrt(3)/6. Fourth-order accurate
+    in dt and exactly unitary; the segment need not be cyclic.
     """
-    if n_t is None:
-        n_t = max(2048, _grid_size(p, DEFAULT_ODE_POINTS))
-    n_t = int(n_t)
+    n_t = _ode_steps(p) if n_t is None else int(n_t)
     if n_t < 16:
-        raise ValidationError("grid must have at least 16 steps")
-    return _ordered_product(_midpoint_factors(p, n_t))
+        raise ValidationError("the integrator needs at least 16 steps")
+    dt = p.duration / n_t
+    starts = np.arange(n_t) * dt
+    nodes = np.stack([starts + c * dt for c in _CF4_NODES], axis=1)
+    h = hamiltonian_path(p, nodes.ravel()).reshape(n_t, 2, p.dim, p.dim)
+    h1, h2 = h[:, 0], h[:, 1]
+    gen = np.stack([_CF4_A1 * h1 + _CF4_A2 * h2, _CF4_A2 * h1 + _CF4_A1 * h2], axis=1)
+    vals, vecs = np.linalg.eigh(gen.reshape(2 * n_t, p.dim, p.dim))
+    factors = np.einsum("tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj())
+    return _ordered_product(factors)
 
 
-def ode_trajectory(
-    p: PulseParams, n_t: int, n_samples: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative midpoint-product propagators at evenly spaced grid times.
-
-    Returns (times, stack of U(t)) where times excludes t=0.
-    """
-    factors = _midpoint_factors(p, int(n_t))
-    marks = np.unique(np.linspace(1, int(n_t), min(n_samples, int(n_t))).astype(int))
-    dim = factors.shape[1]
-    u = np.eye(dim, dtype=complex)
-    snaps = []
-    pos = 0
-    for mark in marks:
-        for j in range(pos, mark):
-            u = factors[j] @ u
-        pos = mark
-        snaps.append(u.copy())
-    times = marks * (p.duration / int(n_t))
-    return times, np.stack(snaps)
-
-
-def sequence_propagator(seq: LoopSequence, n_t: int | None = None) -> np.ndarray:
+def sequence_propagator(seq: LoopSequence) -> np.ndarray:
     """Total gate of a loop sequence; the first segment acts first."""
-    return sequence_evolution(seq, n_t)[0]
+    return sequence_evolution(seq)[0]
 
 
-def sequence_phases(seq: LoopSequence, n_t: int | None = None) -> list[PhaseRecord]:
+def sequence_phases(seq: LoopSequence) -> list[PhaseRecord]:
     """Per-segment phase records for a loop sequence."""
-    return [phases(seg, n_t) for seg in seq]
+    return [phases(seg) for seg in seq]
 
 
 def zero_dynamical_phase_amplitude(omega: float, delta: float) -> float:

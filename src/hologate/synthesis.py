@@ -25,8 +25,6 @@ import numpy as np
 from .linalg import PAULI_1Q, ValidationError, named_gate, pauli_basis, unitary_fidelity
 from .model import TWO_PI, LoopSequence, PulseParams
 from .propagation import (
-    EigenvalueCrossingError,
-    NonAbelianDegeneracyError,
     _loop_quaternion,
     segment_evolution,
     sequence_evolution,
@@ -45,9 +43,6 @@ TWO_QUBIT_BOUNDS = (
     (0.0, 10.0),
     (0.0, 10.0),
 )
-#: Search grid of a searched segment, which lasts one drive period, 2 pi / w
-#: (final results are re-evaluated on the default fine grid).
-SEARCH_POINTS_PER_PERIOD = 1024
 #: Scores within this of each other are resolved by the tie-break order.
 SCORE_TIE = 1e-9
 
@@ -84,8 +79,7 @@ class SynthesisProblem:
         if self.n_loops < 1:
             raise ValidationError("n_loops must be positive")
         _require_search_counts(self.seed, self.restarts, self.max_evals, 1)
-        if self.penalty_weight < 0:
-            raise ValidationError("penalty weight must be nonnegative")
+        _require_weights(self.penalty_weight, self.coupling)
         if self.bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
             per_loop = len(self._default_bounds())
@@ -95,8 +89,7 @@ class SynthesisProblem:
                 raise ValidationError(
                     f"need {per_loop} bounds per loop, got {len(bounds)} total"
                 )
-            if any(hi <= lo for lo, hi in bounds):
-                raise ValidationError("bounds must be nonempty intervals")
+            _require_loop_bounds(bounds, self.n_qubits)
             object.__setattr__(self, "bounds", bounds)
 
     def _default_bounds(self) -> tuple[tuple[float, float], ...]:
@@ -111,35 +104,82 @@ class SynthesisProblem:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SynthesisProblem":
-        target = doc["target"]
-        name = None
+        """Problem from its JSON document; each field's type and shape is
+        checked, and an unknown field is refused."""
+        if not isinstance(doc, Mapping) or not set(doc).issubset(_PROBLEM_FIELDS):
+            raise ValidationError(f"a problem is a JSON object with fields {_PROBLEM_FIELDS}")
+        target, name = doc.get("target"), None
         if isinstance(target, str):
-            name = target
-            matrix = named_gate(target)
+            name, matrix = target, named_gate(target)
+        elif isinstance(target, Mapping) and set(target) == {"real", "imag"}:
+            matrix = _real_matrix(target["real"]) + 1j * _real_matrix(target["imag"])
         else:
-            matrix = np.asarray(target["real"], dtype=float) + 1j * np.asarray(
-                target["imag"], dtype=float
-            )
-        n_qubits = int(doc.get("n", int(np.log2(matrix.shape[0]))))
+            raise ValidationError('target must be a gate name or {"real": ..., "imag": ...}')
         bounds = doc.get("bounds")
         if bounds is not None:
-            bounds = tuple((b[0], b[1]) for b in bounds)
+            if not isinstance(bounds, list) or any(
+                    not isinstance(b, list) or len(b) != 2 for b in bounds):
+                raise ValidationError("bounds must be a list of [low, high] pairs")
+            bounds = tuple((_number(lo, "bound"), _number(hi, "bound")) for lo, hi in bounds)
+        max_evals = doc.get("max_evals")
         return cls(
             target=matrix,
-            n_qubits=n_qubits,
-            n_loops=int(doc["n_loops"]),
-            seed=int(doc.get("seed", 0)),
-            restarts=int(doc.get("restarts", 32)),
-            penalty_weight=float(doc.get("penalty_weight", 10.0)),
+            n_qubits=_integer(doc.get("n", len(matrix) // 2), "n"),
+            n_loops=_integer(doc.get("n_loops"), "n_loops"),
+            seed=_integer(doc.get("seed", 0), "seed"),
+            restarts=_integer(doc.get("restarts", 32), "restarts"),
+            penalty_weight=_number(doc.get("penalty_weight", 10.0), "penalty_weight"),
             bounds=bounds,
-            coupling=float(doc.get("coupling", 1.0)),
+            coupling=_number(doc.get("coupling", 1.0), "coupling"),
             target_name=name,
-            max_evals=None if doc.get("max_evals") is None else int(doc["max_evals"]),
+            max_evals=None if max_evals is None else _integer(max_evals, "max_evals"),
         )
 
     @classmethod
     def loads(cls, text: str) -> "SynthesisProblem":
         return cls.from_dict(json.loads(text))
+
+
+_PROBLEM_FIELDS = ["bounds", "coupling", "max_evals", "n", "n_loops", "penalty_weight",
+                   "restarts", "seed", "target"]
+
+
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _real_matrix(rows) -> np.ndarray:
+    if not isinstance(rows, list) or not rows or any(
+            not isinstance(r, list) or len(r) != len(rows) for r in rows):
+        raise ValidationError("target real and imag parts must be square lists of rows")
+    return np.array([[_number(v, "target entry") for v in r] for r in rows])
+
+
+def _require_weights(penalty_weight: float, coupling: float) -> None:
+    if not (0 <= penalty_weight < math.inf and math.isfinite(coupling)):
+        raise ValidationError("need a finite penalty weight >= 0 and a finite coupling; "
+                              f"got {penalty_weight}, {coupling}")
+
+
+def _require_loop_bounds(bounds, n_qubits: int) -> None:
+    """Refuse, before any evaluation, bounds that admit a loop the search
+    cannot build: a drive frequency ratio w/D <= 1 for one qubit; a negative
+    drive amplitude or a drive frequency <= 0 for two."""
+    if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in bounds):
+        raise ValidationError("bounds must be finite nonempty intervals")
+    lows = [lo for lo, _ in bounds]
+    if n_qubits == 1 and min(lows[0::2]) <= 1.0:
+        raise ValidationError("drive frequency ratio bounds must exceed 1")
+    if n_qubits == 2 and (min(lows[0::7] + lows[1::7]) < 0.0 or min(lows[2::7]) <= 0.0):
+        raise ValidationError("bounds must keep drive amplitudes >= 0 and drive frequencies > 0")
 
 
 @dataclass(frozen=True)
@@ -173,21 +213,16 @@ def gate_length(seq: LoopSequence) -> float:
     return float(sum(seg.duration for seg in seq))
 
 
-def objective(
-    target: np.ndarray,
-    seq: LoopSequence,
-    penalty_weight: float,
-    n_t: int | None = None,
-) -> float:
+def objective(target: np.ndarray, seq: LoopSequence, penalty_weight: float) -> float:
     """Gate fidelity of the sequence minus the dynamical-phase penalty:
     F(target, prod U_i) - penalty_weight * sum_{i,n} |gd_n(segment i)|."""
-    u, gd = sequence_evolution(seq, n_t)
+    u, gd = sequence_evolution(seq)
     return unitary_fidelity(target, u) - float(penalty_weight) * _phase_penalty(gd)
 
 
 def _phase_penalty(gd: np.ndarray) -> float:
-    """sum_{i,n} |gd_n(segment i)|, summed segment by segment."""
-    return sum(float(np.abs(g).sum()) for g in gd)
+    """sum_{i,n} |gd_n(segment i)|."""
+    return float(np.abs(gd).sum())
 
 
 def single_qubit_sequence_from_vector(x: Sequence[float]) -> LoopSequence:
@@ -263,21 +298,14 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     return cost
 
 
-def _two_qubit_evolution(x, coupling: float, n_t: int | None = SEARCH_POINTS_PER_PERIOD):
-    """`sequence_evolution` of the two-qubit loops x (search grid by default,
-    `n_t=None` for the fine grid), or None when a loop cannot be evaluated."""
-    try:
-        return sequence_evolution(two_qubit_sequence_from_vector(x, coupling), n_t)
-    except (EigenvalueCrossingError, NonAbelianDegeneracyError, ValidationError):
-        return None
+def _two_qubit_evolution(x, coupling: float):
+    """`sequence_evolution` of the two-qubit loops x."""
+    return sequence_evolution(two_qubit_sequence_from_vector(x, coupling))
 
 
 def _two_qubit_cost(target: np.ndarray, penalty_weight: float, coupling: float):
     def cost(x: np.ndarray) -> float:
-        out = _two_qubit_evolution(x, coupling)
-        if out is None:
-            return 2.0
-        u, gd = out
+        u, gd = _two_qubit_evolution(x, coupling)
         return 1.0 - unitary_fidelity(target, u) + penalty_weight * _phase_penalty(gd)
 
     return cost
@@ -345,7 +373,7 @@ def synthesize(problem: SynthesisProblem, workers: int = 1) -> SynthesisResult:
 
     Reproducible for a fixed seed: restart starting points are drawn once
     from the seeded generator and each local search is deterministic. The
-    returned result is re-scored on the fine default grid.
+    returned result is re-scored by the closed-form propagation.
     """
     bounds = problem.full_bounds()
     if problem.n_qubits == 1:
@@ -391,13 +419,13 @@ def correlation_singular_values(u: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.svd(correlation_matrix(u), compute_uv=False))
 
 
-def entangling_score(p: PulseParams, n_t: int | None = None) -> float:
+def entangling_score(p: PulseParams) -> float:
     """Second-smallest singular value of the Pauli correlation matrix of the
     segment propagator. Zero with a rank-2 correlation certifies an
     entangling gate; rank-1 means a tensor product."""
     if p.n != 2:
         raise ValidationError("entangling score is defined for two qubits")
-    u, _ = segment_evolution(p, n_t)
+    u, _ = segment_evolution(p)
     return float(correlation_singular_values(u)[1])
 
 
@@ -424,12 +452,11 @@ def find_entangling(
     bounds = tuple(bounds) if bounds is not None else TWO_QUBIT_BOUNDS
     if len(bounds) != 7:
         raise ValidationError("entangler search uses 7 parameters (single loop)")
+    _require_loop_bounds(bounds, 2)
+    _require_weights(penalty_weight, coupling)
 
     def cost(x: np.ndarray) -> float:
-        out = _two_qubit_evolution(x, coupling)
-        if out is None:
-            return 10.0
-        u, gd = out
+        u, gd = _two_qubit_evolution(x, coupling)
         return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
 
     candidates = _run_restarts(
@@ -438,18 +465,13 @@ def find_entangling(
 
     best = None  # (key, x, m, max_gd)
     for _, x in candidates:
-        out = _two_qubit_evolution(x, coupling, None)
-        if out is None:
-            continue
-        u, gd = out
+        u, gd = _two_qubit_evolution(x, coupling)
         sv = correlation_singular_values(u)
         m, s2 = float(sv[1]), float(sv[2])
         accepted = not s2 < SEPARABLE_S2 and m < score_tol
         key = (accepted, -m)
         if best is None or key > best[0]:
             best = (key, x, m, float(np.abs(gd).max()))
-    if best is None:
-        raise ValidationError("no evaluable candidate produced by the search")
     _, x, m, max_gd = best
     seq = two_qubit_sequence_from_vector(x, coupling)
     return SynthesisResult(

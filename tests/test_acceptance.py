@@ -14,7 +14,6 @@ from hologate import (
     RBRecord,
     SynthesisProblem,
     UnitaryChannel,
-    build_eigenframe,
     di_residual,
     eigenframe_propagator,
     invariant,
@@ -33,6 +32,7 @@ from hologate import (
 )
 from hologate import tables
 from hologate.cli import main as cli_main
+from hologate.propagation import build_eigenframe
 from hologate.synthesis import correlation_singular_values, gate_length
 from conftest import assemble_invariant, random_cyclic_params
 

@@ -39,14 +39,27 @@ class TestTablesCommand:
         assert run_cli(["tables", "--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_one_eigenframe_per_published_segment(self, tmp_path, monkeypatch):
-        # 5 two-loop 1q tables, the 5-loop CNOT table and the entangler row
-        builds = []
-        original = propagation.build_eigenframe
-        monkeypatch.setattr(propagation, "build_eigenframe",
-                            lambda *a, **k: builds.append(a) or original(*a, **k))
-        assert run_cli(["tables", "--output", tmp_path / "t.json"]) == 0
-        assert len(builds) == 16
+def test_no_command_builds_an_eigenframe(x_sequence_file, tmp_path, monkeypatch):
+    # the sampled eigenframe is a test reference; every command propagates
+    # in closed form
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_eigenframe called")
+
+    monkeypatch.setattr(propagation, "build_eigenframe", refuse)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"target": "X", "n_loops": 2, "seed": 1, "restarts": 2}))
+    out = tmp_path / "out.json"
+    for argv in (
+        ["tables"],
+        ["gate", "--input", x_sequence_file, "--target", "X"],
+        ["phases", "--input", x_sequence_file],
+        ["qpt", "--input", x_sequence_file, "--target", "X"],
+        ["rb", "--input", x_sequence_file, "--target", "X", "--m-values", "2,4",
+         "--n-seq", "2"],
+        ["synth", "--input", problem],
+        ["entangle", "--restarts", "1", "--max-evals", "20"],
+    ):
+        assert run_cli([*argv, "--output", out]) == 0, argv
 
 
 class TestVerifyDi:
@@ -231,7 +244,9 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in ("tables", "verify-di", "phases", "gate", "qpt")
         for flag in ("--seed", "--jobs")
-    ] + [("rb", "--jobs"), ("verify-di", "--grid")])
+    ] + [("rb", "--jobs"), ("verify-di", "--grid")] + [
+        (command, "--grid") for command in ("tables", "phases", "gate", "qpt", "rb")
+    ])
     def test_unread_options_rejected(self, command, flag, x_sequence_file, capsys):
         # every other argument is valid, so the option alone is refused
         needs = {"verify-di": ["--input", x_sequence_file], "phases": ["--input", x_sequence_file],
@@ -254,6 +269,36 @@ class TestErrorHandling:
 
     def test_synth_zero_jobs(self, tmp_path):
         assert run_cli(["synth", "--input", self._problem(tmp_path), "--jobs", "0"]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("bounds", [[1.5, 3.0, 99.0], [0.0, 6.0]]),
+        ("seed", 1.7),
+        ("max_evals", "abc"),
+    ])
+    def test_synth_malformed_problem_field(self, field, value, tmp_path, capsys):
+        assert run_cli(["synth", "--input", self._problem(tmp_path, **{field: value})]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        from hologate import synthesis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("search started")
+
+        monkeypatch.setattr(synthesis, "minimize", refuse)
+
+    def test_synth_unbuildable_bounds_before_search(self, tmp_path, capsys, no_search):
+        # a drive frequency bound reaching zero admits loops that cannot be built
+        bounds = [[0.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [0.0, 6.0], [0.0, 6.0],
+                  [0.0, 1.0], [0.0, 1.0]]
+        problem = self._problem(tmp_path, target="CNOT", bounds=bounds)
+        assert run_cli(["synth", "--input", problem]) == 2
+        assert "drive frequencies" in capsys.readouterr().err
+
+    def test_entangle_non_finite_coupling_before_search(self, capsys, no_search):
+        assert run_cli(["entangle", "--coupling", "nan"]) == 2
+        assert "coupling" in capsys.readouterr().err
 
     def test_entangle_negative_seed(self):
         assert run_cli(["entangle", "--seed", "-1"]) == 2

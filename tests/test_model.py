@@ -12,6 +12,7 @@ from hologate import (
     invariant,
 )
 from hologate.linalg import PAULI_1Q, kron, pauli_on
+from hologate.model import frame_frequencies
 from conftest import assemble_hamiltonian, assemble_invariant, random_cyclic_params
 
 TWO_PI = 2.0 * np.pi
@@ -92,6 +93,21 @@ class TestInvariant:
             rhs = 2.0 * assemble_hamiltonian(p, t) - zrot
             assert np.linalg.norm(lhs - rhs) < 1e-12
             assert np.linalg.norm(invariant(p, t) - rhs) < 1e-12
+
+    def test_rotating_frame(self, rng):
+        # H(t) = R(t) H(0) R(t)^dag and I(t) = 2 R(t) H_eff R(t)^dag with
+        # R(t) = exp(-i t Z / 2), H_eff = H(0) - Z / 2, Z = sum_i w_i sz_i
+        for n in (1, 2):
+            p = random_cyclic_params(rng, n)
+            zrot = sum(p.omega_rot[i] * pauli_on(n, i, "Z") for i in range(n))
+            np.testing.assert_array_equal(np.diag(frame_frequencies(p)), zrot)
+            h0 = assemble_hamiltonian(p, 0.0)
+            for t in rng.uniform(0.0, p.duration, 3):
+                r = np.diag(np.exp(-0.5j * t * frame_frequencies(p)))
+                np.testing.assert_allclose(
+                    hamiltonian(p, t), r @ h0 @ r.conj().T, atol=1e-12)
+                np.testing.assert_allclose(
+                    invariant(p, t), r @ (2.0 * h0 - zrot) @ r.conj().T, atol=1e-12)
 
     def test_drive_off_static(self):
         p = PulseParams(n=1, omega_drive=(0.0,), omega_rot=(2.0,), phase=(0.0,),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hologate import (
     NonAbelianDegeneracyError,
     PulseParams,
     ValidationError,
-    build_eigenframe,
     eigenframe_propagator,
     loop_params,
     named_gate,
@@ -21,16 +22,19 @@ from hologate import (
     zero_dynamical_phase_amplitude,
 )
 from hologate.linalg import PAULI_1Q
-from hologate.model import hamiltonian_path
+from hologate.model import frame_frequencies, hamiltonian_path
 from hologate.propagation import (
     DEFAULT_FRAME_POINTS,
-    DEFAULT_ODE_POINTS,
+    ODE_STEPS_PER_PERIOD,
+    _evolve,
     _loop_quaternion,
+    _ode_steps,
     _require_abelian,
     _transport,
-    ode_trajectory,
+    build_eigenframe,
     segment_evolution,
 )
+from hologate.synthesis import TWO_QUBIT_BOUNDS, two_qubit_sequence_from_vector
 from conftest import random_cyclic_params
 
 TWO_PI = 2.0 * np.pi
@@ -90,7 +94,8 @@ class TestBuildEigenframe:
         assert p.cycle_counts()[0] > 1.0
         assert build_eigenframe(p).times.size == DEFAULT_FRAME_POINTS + 1
         assert build_eigenframe(p, 256).times.size == 257
-        np.testing.assert_array_equal(ode_propagator(p), ode_propagator(p, DEFAULT_ODE_POINTS))
+        assert _ode_steps(p) == ODE_STEPS_PER_PERIOD
+        np.testing.assert_array_equal(ode_propagator(p), ode_propagator(p, ODE_STEPS_PER_PERIOD))
 
     def test_crossing_detection_on_synthetic_swap(self):
         # two samples whose dominant eigenvectors trade places
@@ -115,8 +120,8 @@ class TestEigenframePropagator:
         delta, omega = 1.3, 4.0
         p = PulseParams(n=1, omega_drive=(0.0,), omega_rot=(omega,), phase=(0.0,),
                         detuning=(delta,), duration=TWO_PI / omega)
-        u = eigenframe_propagator(p, 1024)
-        np.testing.assert_allclose(u, unitary_exp(SZ, delta * p.duration / 2), atol=1e-9)
+        u = eigenframe_propagator(p)
+        np.testing.assert_allclose(u, unitary_exp(SZ, delta * p.duration / 2), atol=1e-12)
 
     def test_not_gate_two_loops(self):
         seq = LoopSequence((
@@ -150,9 +155,24 @@ class TestEigenframePropagator:
         p = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
                         phase=(0.2, 1.0), detuning=(1.0, 1.0),
                         couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
-        uf = eigenframe_propagator(p, 4096)
-        uo = ode_propagator(p, 8192)
-        assert np.linalg.norm(uf - uo) < 1e-6
+        uf = eigenframe_propagator(p)
+        uo = ode_propagator(p)
+        assert np.linalg.norm(uf - uo) < 1e-8
+
+    def test_undriven_qubit_off_period(self):
+        # qubit 0 is undriven and completes 1.3 Zeeman-frame turns, so
+        # R(tau) is not +-I; the closed form still matches the oracle
+        p = PulseParams(n=2, omega_drive=(0.0, 1.2), omega_rot=(5.2, 4.0),
+                        phase=(0.0, 0.4), detuning=(0.7, 1.5),
+                        couplings={(0, 1): 0.8}, duration=TWO_PI / 4.0)
+        assert p.is_cyclic()
+        uo = ode_propagator(p)
+        assert np.linalg.norm(eigenframe_propagator(p) - uo) < 1e-8
+        vecs = _evolve(p)[0]
+        rec = phases(p)
+        alpha = np.angle(np.einsum("ik,ij,jk->k", vecs.conj(), uo, vecs))
+        total = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
+        assert circle_distance(alpha, total) < 1e-8
 
 
 def loop_ratio_params(ratio: float, phi: float) -> PulseParams:
@@ -173,12 +193,25 @@ class TestOdePropagator:
         u = ode_propagator(p, 2048)
         np.testing.assert_allclose(u, unitary_exp(SZ, 0.8 * np.pi / 2), atol=1e-12)
 
-    def test_second_order_convergence(self, rng):
+    def test_fourth_order_convergence(self, rng):
         p = random_cyclic_params(rng, 2)
-        ref = ode_propagator(p, 65536)
-        e1 = np.linalg.norm(ode_propagator(p, 2048) - ref)
-        e2 = np.linalg.norm(ode_propagator(p, 4096) - ref)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.2)
+        exact = eigenframe_propagator(p)
+        errs = [np.linalg.norm(ode_propagator(p, n) - exact) for n in (32, 64, 128, 256)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_default_steps_at_the_bound_corner(self):
+        # largest amplitudes and detunings at the lowest drive frequency of
+        # the two-qubit search box: the step count follows tau ||H||
+        x = [hi if k in (0, 1, 5, 6) else lo for k, (lo, hi) in enumerate(TWO_QUBIT_BOUNDS)]
+        x[3], x[4] = 0.3, 1.1
+        p = two_qubit_sequence_from_vector(x).segments[0]
+        assert _ode_steps(p) > ODE_STEPS_PER_PERIOD
+        assert np.linalg.norm(ode_propagator(p) - eigenframe_propagator(p)) < 1e-8
+
+    def test_rejects_too_few_steps(self, rng):
+        with pytest.raises(ValidationError):
+            ode_propagator(random_cyclic_params(rng, 1), 8)
 
     def test_unitarity(self, rng):
         p = random_cyclic_params(rng, 2)
@@ -186,21 +219,24 @@ class TestOdePropagator:
         assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-9
 
     def test_transitionless_in_invariant_frame(self, rng):
+        # the oracle, run on the segment cut off at t, keeps each invariant
+        # eigenstate R(0)|u_n> on its own closed-form frame vector R(t)|u_n>
         p = random_cyclic_params(rng, 2)
-        frame = build_eigenframe(p, 8192)
-        times, us = ode_trajectory(p, 8192, n_samples=8)
-        for t, u in zip(times, us):
-            idx = int(round(t / p.duration * 8192))
-            m = frame.vectors[idx].conj().T @ u @ frame.vectors[0]
+        vecs = _evolve(p)[0]
+        z = frame_frequencies(p)
+        for t in np.linspace(0.0, p.duration, 9)[1:]:
+            u = ode_propagator(dataclasses.replace(p, duration=t))
+            frame_t = np.exp(-0.5j * t * z)[:, None] * vecs
+            m = frame_t.conj().T @ u @ vecs
             off = m - np.diag(np.diag(m))
-            assert np.abs(off).max() < 1e-6
+            assert np.abs(off).max() < 1e-8
 
 
 class TestPhases:
     def test_drive_off_no_geometric_phase(self):
         p = PulseParams(n=1, omega_drive=(0.0,), omega_rot=(3.0,), phase=(0.0,),
                         detuning=(1.0,), duration=TWO_PI / 3.0)
-        rec = phases(p, 1024)
+        rec = phases(p)
         assert max(abs(g) for g in rec.gamma_geometric) < 1e-9
 
     def test_zero_dynamical_phase_condition(self):
@@ -223,11 +259,45 @@ class TestPhases:
             rhs = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
             assert circle_distance(lhs, rhs) < 1e-6
 
+    def test_geometric_phase_is_the_grid_holonomy(self, rng):
+        # discrete Berry holonomy arg <v(0)|v(tau)> of the parallel-transported
+        # grid frame; its gap to the closed form is grid error, O(dt^2)
+        for n in (1, 2):
+            p = random_cyclic_params(rng, n)
+            gg = np.asarray(phases(p).gamma_geometric)
+            gaps = []
+            for points in (DEFAULT_FRAME_POINTS, 4 * DEFAULT_FRAME_POINTS):
+                frame = build_eigenframe(p, points * int(p.period_count()))
+                berry = np.angle(np.einsum("ik,ik->k", frame.vectors[0].conj(),
+                                           frame.vectors[-1]))
+                gaps.append(circle_distance(berry, gg))
+            assert gaps[0] < 1e-6
+            assert gaps[0] / gaps[1] >= 8.0
+
+    def test_dynamical_phase_is_the_grid_quadrature(self, rng):
+        p = random_cyclic_params(rng, 2)
+        frame = build_eigenframe(p)
+        h_path = hamiltonian_path(p, frame.times)
+        expect = np.einsum("tik,tij,tjk->tk", frame.vectors.conj(), h_path, frame.vectors).real
+        quadrature = -np.trapezoid(expect, frame.times, axis=0)
+        np.testing.assert_allclose(phases(p).gamma_dynamical, quadrature, atol=1e-9)
+
+    def test_degenerate_pair_grid_holonomy(self):
+        # inside the degenerate pair both the grid transport and the closed
+        # form pick the basis that diagonalizes H(0)
+        p = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
+                        phase=(0.2, 1.0), detuning=(1.0, 1.0),
+                        couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
+        frame = build_eigenframe(p)
+        assert frame.closure_defect() < 1e-9
+        berry = np.diag(frame.vectors[0].conj().T @ frame.vectors[-1])
+        assert circle_distance(np.angle(berry), phases(p).gamma_geometric) < 1e-6
+
     def test_degenerate_pair_phases(self):
         p = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
                         phase=(0.2, 1.0), detuning=(1.0, 1.0),
                         couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
-        rec = phases(p, 4096)
+        rec = phases(p)
         lhs = np.asarray(rec.alpha_total)
         rhs = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
         assert circle_distance(lhs, rhs) < 1e-6
@@ -293,13 +363,13 @@ def test_sequence_propagator_order(rng):
 
 def test_sequence_evolution_is_the_segment_loop(rng):
     seq = LoopSequence(tuple(random_cyclic_params(rng, 2) for _ in range(3)))
-    u, gd = sequence_evolution(seq, 2048)
+    u, gd = sequence_evolution(seq)
     u_loop, gd_loop = np.eye(4, dtype=complex), []
     for seg in seq:
-        useg, g = segment_evolution(seg, 2048)
+        useg, g = segment_evolution(seg)
         u_loop = useg @ u_loop
         gd_loop.append(g)
     np.testing.assert_array_equal(u, u_loop)
     np.testing.assert_array_equal(gd, np.stack(gd_loop))
     assert gd.shape == (3, 4)
-    np.testing.assert_array_equal(sequence_propagator(seq, 2048), u)
+    np.testing.assert_array_equal(sequence_propagator(seq), u)

@@ -19,6 +19,7 @@ from hologate import (
 from hologate import single_qubit_loop_gate, tables
 from hologate.synthesis import (
     SINGLE_QUBIT_BOUNDS,
+    TWO_QUBIT_BOUNDS,
     _closed_form_cost,
     single_qubit_sequence_from_vector,
     two_qubit_sequence_from_vector,
@@ -188,6 +189,39 @@ class TestSynthesize:
         with pytest.raises(ValidationError):
             synthesize(problem, workers=0)
 
+    @pytest.mark.parametrize("n_qubits,bound,index", [
+        (1, (1.0, 3.0), 0),     # ratio w/D = 1: no zero-dynamical-phase drive
+        (1, (0.5, 3.0), 0),
+        (2, (-0.1, 1.0), 1),    # negative drive amplitude
+        (2, (0.0, 1.0), 2),     # drive frequency 0
+        (2, (0.0, float("nan")), 5),
+    ])
+    def test_unbuildable_bounds_rejected(self, n_qubits, bound, index):
+        per_loop = list(SINGLE_QUBIT_BOUNDS if n_qubits == 1 else TWO_QUBIT_BOUNDS)
+        per_loop[index] = bound
+        with pytest.raises(ValidationError):
+            SynthesisProblem(target=np.eye(2 ** n_qubits), n_qubits=n_qubits, n_loops=1,
+                             bounds=tuple(per_loop))
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"target": "P"},
+        {"target": "P", "n_loops": 2.0},
+        {"target": "P", "n_loops": 2, "restarts": True},
+        {"target": "P", "n_loops": 2, "penalty_weight": "1"},
+        {"target": "P", "n_loops": 2, "coupling": None},
+        {"target": "P", "n_loops": 2, "bounds": [[1.5, 3.0]] * 3},
+        {"target": "P", "n_loops": 2, "bounds": [[1.5, "3"], [0.0, 6.0]]},
+        {"target": "P", "n_loops": 2, "restart": 4},
+        {"target": {"real": [[1, 0], [0]], "imag": [[0, 0], [0, 0]]}, "n_loops": 1},
+        {"target": {"real": [[1, 0], [0, 1]]}, "n_loops": 1},
+        {"target": {"real": [[1]], "imag": [[0]]}, "n_loops": 1},
+        {"target": 3, "n_loops": 1},
+    ])
+    def test_problem_from_dict_strict(self, doc):
+        with pytest.raises(ValidationError):
+            SynthesisProblem.from_dict(doc)
+
     def test_problem_from_dict(self):
         problem = SynthesisProblem.from_dict(
             {"target": "P", "n_loops": 2, "seed": 7, "restarts": 4}
@@ -255,6 +289,22 @@ class TestFindEntangling:
     def test_bounds_arity(self):
         with pytest.raises(ValidationError):
             find_entangling(bounds=((0.0, 1.0),) * 3)
+
+    @pytest.mark.parametrize("index,bound", [(0, (-1.0, 1.0)), (2, (-1.0, 1.0)), (2, (0.0, 1.0))])
+    def test_unbuildable_bounds_rejected_before_search(self, index, bound, monkeypatch):
+        from hologate import synthesis
+
+        monkeypatch.setattr(synthesis, "minimize", None)  # a started search raises TypeError
+        bounds = list(TWO_QUBIT_BOUNDS)
+        bounds[index] = bound
+        with pytest.raises(ValidationError):
+            find_entangling(bounds=bounds, restarts=1)
+
+    @pytest.mark.parametrize("kwargs", [dict(coupling=float("nan")),
+                                        dict(penalty_weight=-1.0)])
+    def test_weights_validated(self, kwargs):
+        with pytest.raises(ValidationError):
+            find_entangling(restarts=1, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         dict(seed=-1), dict(restarts=0), dict(restarts=-1), dict(max_evals=0), dict(workers=0),

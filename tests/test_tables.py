@@ -47,7 +47,8 @@ def test_entangler_params_row():
 
 
 def test_cnot_first_pulse_frame():
-    from hologate import build_eigenframe, invariant
+    from hologate import invariant
+    from hologate.propagation import build_eigenframe
 
     seg = tables.cnot_sequence().segments[0]
     frame = build_eigenframe(seg, 4096)
