@@ -66,6 +66,8 @@ class SynthesisProblem:
     max_evals: int | None = None  # per-restart simplex evaluation budget
 
     def __post_init__(self):
+        if self.n_qubits not in (1, 2):
+            raise ValidationError("synthesis supports one or two qubits")
         target = np.asarray(self.target, dtype=complex)
         if target.shape != (2 ** self.n_qubits,) * 2:
             raise ValidationError(
@@ -74,8 +76,6 @@ class SynthesisProblem:
         if np.linalg.norm(target.conj().T @ target - np.eye(target.shape[0])) > 1e-8:
             raise ValidationError("target must be unitary")
         object.__setattr__(self, "target", target)
-        if self.n_qubits not in (1, 2):
-            raise ValidationError("synthesis supports one or two qubits")
         if self.n_loops < 1:
             raise ValidationError("n_loops must be positive")
         _require_search_counts(self.seed, self.restarts, self.max_evals, 1)

@@ -179,6 +179,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("field,value", [
         ("seed", -1), ("restarts", 0), ("restarts", -1), ("max_evals", 0),
+        ("coupling", float("inf")),
     ])
     def test_problem_counts_validated(self, field, value):
         with pytest.raises(ValidationError):
@@ -217,6 +218,7 @@ class TestSynthesize:
         {"target": {"real": [[1, 0], [0, 1]]}, "n_loops": 1},
         {"target": {"real": [[1]], "imag": [[0]]}, "n_loops": 1},
         {"target": 3, "n_loops": 1},
+        {"target": "P", "n_loops": 1, "n": 10 ** 9},
     ])
     def test_problem_from_dict_strict(self, doc):
         with pytest.raises(ValidationError):
