@@ -197,7 +197,7 @@ def cmd_synth(args) -> int:
     if overrides:
         doc = problem.__dict__ | overrides
         problem = SynthesisProblem(**doc)
-    result = synthesize(problem, workers=args.jobs)
+    result = synthesize(problem)
     final_objective = objective(problem.target, result.sequence, problem.penalty_weight)
     doc = {"command": "synth", "problem_target": problem.target_name,
            "objective": final_objective} | result.to_dict()
@@ -212,8 +212,7 @@ def cmd_synth(args) -> int:
 def cmd_entangle(args) -> int:
     result = find_entangling(seed=args.seed or 0, restarts=args.restarts,
                              penalty_weight=10.0 if args.penalty is None else args.penalty,
-                             coupling=args.coupling, workers=args.jobs,
-                             max_evals=args.max_evals)
+                             coupling=args.coupling, max_evals=args.max_evals)
     print(f"entangling score {result.entangling_score:.3e}  "
           f"converged {result.converged}")
     if not result.converged:
@@ -296,16 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    options = {
-        "seed": dict(type=int, default=None),
-        "jobs": dict(type=int, default=1, help="worker threads for independent restarts"),
-    }
-
-    def common(p, *names):
-        """--output plus the named shared options the subcommand reads."""
+    def common(p, seed=False):
+        """--output, plus --seed when the subcommand reads it."""
         p.add_argument("--output", help="write the JSON report here")
-        for name in names:
-            p.add_argument(f"--{name}", **options[name])
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("tables", help="verify the embedded published tables")
     common(p)
@@ -330,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("synth", help="synthesize pulses for a target gate")
-    common(p, "seed", "jobs")
+    common(p, seed=True)
     p.add_argument("--input", required=True, help="SynthesisProblem JSON")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--penalty", type=float, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("entangle", help="search for a single-loop entangling gate")
-    common(p, "seed", "jobs")
+    common(p, seed=True)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--coupling", type=float, default=1.0)
@@ -355,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("rb", help="reference + interleaved randomized benchmarking")
-    common(p, "seed")
+    common(p, seed=True)
     p.add_argument("--gate", choices=sorted(GATES), default=None)
     p.add_argument("--input", default=None, help="LoopSequence JSON for the target")
     p.add_argument("--target", choices=sorted(GATES), default=None,

@@ -19,6 +19,7 @@ rotates about z at the drive frequencies (`frame_frequencies`).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -219,43 +220,64 @@ def _wire_paulis(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 _WIRE_PAULIS = {n: _wire_paulis(n) for n in (1, 2, 3)}
 
 
-def _drive_terms(p: PulseParams):
-    """Per-qubit (sx_i, sy_i) operators plus the static Zeeman/Ising parts."""
-    n = p.n
+#: Wire pairs (i, j), i < j, in the order of `PulseParams.couplings` keys.
+_PAIRS = {n: tuple(itertools.combinations(range(n), 2)) for n in (1, 2, 3)}
+
+
+def _operator_table(n: int) -> np.ndarray:
+    """sx_i, then sy_i, then sz_i on every wire, then sz_i sz_j on every pair,
+    flattened into the rows of one read-only (k, d*d) table."""
     sx, sy, sz = _WIRE_PAULIS[n]
-    static_h = sum(0.5 * p.detuning[i] * sz[i] for i in range(n))
-    static_h = static_h + sum(
-        0.25 * J * (sz[i] @ sz[j]) for (i, j), J in p.couplings.items()
-    )
-    zrot = sum(p.omega_rot[i] * sz[i] for i in range(n))
-    return sx, sy, np.asarray(static_h, dtype=complex), np.asarray(zrot, dtype=complex)
+    ops = [*sx, *sy, *sz] + [sz[i] @ sz[j] for i, j in _PAIRS[n]]
+    table = np.stack(ops).reshape(len(ops), -1)
+    table.setflags(write=False)
+    return table
+
+
+_OPERATORS = {n: _operator_table(n) for n in (1, 2, 3)}
+#: Diagonals of sz_i, one row per wire: Z = sum_i w_i sz_i has diagonal w @ rows.
+_SZ_DIAGONALS = {n: np.array([np.diag(op).real for op in _WIRE_PAULIS[n][2]]) for n in (1, 2, 3)}
+
+
+def _coefficients(drive, angle, detuning, coupling) -> np.ndarray:
+    """Coefficients of H on the rows of `_operator_table`, one row per row
+    of `angle` (the drive phase w_i t + f_i of every wire): W_i cos(angle_i)
+    / 2, W_i sin(angle_i) / 2, D_i / 2, then J_ij / 4 per pair. `drive`,
+    `detuning` and `coupling` are per-wire (per-pair) rows, stacks of rows
+    matching `angle`, or scalars."""
+    rows, n = angle.shape
+    out = np.empty((rows, 3 * n + n * (n - 1) // 2))
+    half = 0.5 * drive
+    out[:, :n] = half * np.cos(angle)
+    out[:, n:2 * n] = half * np.sin(angle)
+    out[:, 2 * n:3 * n] = 0.5 * detuning
+    out[:, 3 * n:] = 0.25 * coupling
+    return out
+
+
+def _hamiltonians(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_k coeffs[:, k] op_k over the operator table, shape (rows, d, d)."""
+    d = 2 ** n
+    return (coeffs @ _OPERATORS[n]).reshape(-1, d, d)
 
 
 def hamiltonian_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
     """H(t) stacked over a time grid, shape (len(times), d, d)."""
-    times = np.asarray(times, dtype=float)
-    sx, sy, static_h, _ = _drive_terms(p)
-    out = np.broadcast_to(static_h, (times.size,) + static_h.shape).copy()
-    for i in range(p.n):
-        om = p.omega_drive[i]
-        if om == 0.0:
-            continue
-        arg = p.omega_rot[i] * times + p.phase[i]
-        out += 0.5 * om * np.cos(arg)[:, None, None] * sx[i]
-        out += 0.5 * om * np.sin(arg)[:, None, None] * sy[i]
-    return out
+    angle = np.multiply.outer(np.asarray(times, dtype=float), p.omega_rot) + p.phase
+    coupling = np.array([p.couplings.get(pair, 0.0) for pair in _PAIRS[p.n]])
+    coeffs = _coefficients(np.array(p.omega_drive), angle, np.array(p.detuning), coupling)
+    return _hamiltonians(coeffs, p.n)
 
 
 def frame_frequencies(p: PulseParams) -> np.ndarray:
     """Diagonal of Z = sum_i w_i sz_i in the computational basis. The frame
     R(t) = exp(-i t Z / 2) carries H(0) to H(t) = R(t) H(0) R(t)^dag."""
-    return np.diag(_drive_terms(p)[3]).real
+    return np.array(p.omega_rot) @ _SZ_DIAGONALS[p.n]
 
 
 def invariant_from_hamiltonian(p: PulseParams, h_path: np.ndarray) -> np.ndarray:
     """I(t) = 2 H(t) - sum_i w_i sz_i from H(t) already sampled on a grid."""
-    _, _, _, zrot = _drive_terms(p)
-    return 2.0 * h_path - zrot
+    return 2.0 * h_path - np.diag(frame_frequencies(p))
 
 
 def invariant_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:

@@ -232,32 +232,46 @@ def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
     return EigenFrame(times=times, values=vals[0], vectors=vecs)
 
 
-def _evolve(p: PulseParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed form of one cyclic segment: (u_n as columns, U(tau), gd, gg).
+def _stacks(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H(0), diagonal of Z, duration) of cyclic segments, stacked for `_evolve`."""
+    for seg in segments:
+        seg.require_cyclic()
+    return (np.concatenate([hamiltonian_path(seg, (0.0,)) for seg in segments]),
+            np.stack([frame_frequencies(seg) for seg in segments]),
+            np.array([seg.duration for seg in segments]))
+
+
+def _evolve(h0: np.ndarray, z: np.ndarray, tau: np.ndarray):
+    """Closed form of L cyclic segments at once, from H(0) (L, d, d), the
+    diagonal of Z (L, d) and the durations (L,): (u_n as columns, U(tau), gd),
+    shaped (L, d, d), (L, d, d) and (L, d), from one stacked `eigh`.
 
     Inside a degenerate H_eff block the basis diagonalizes H(0), the Abelian
     representative; U is built before that rotation, from eigh's own pairs.
+    Only the segments a vectorized gap check flags take that path.
     """
-    p.require_cyclic()
-    tau = p.duration
-    h0 = hamiltonian_path(p, (0.0,))[0]
-    z = frame_frequencies(p)
-    vals, vecs = np.linalg.eigh(h0 - np.diag(0.5 * z))
-    r = np.exp(-0.5j * tau * z)  # R(tau), diagonal
-    u = (r[:, None] * vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
-    for g in _degenerate_groups(vals):
-        if g.stop - g.start > 1:
-            blk = vecs[:, g]
-            vecs[:, g] = blk @ np.linalg.eigh(blk.conj().T @ h0 @ blk)[1]
-    weights = np.abs(vecs) ** 2  # |<b|u_n>|^2: Z and R(tau) are diagonal
-    gd = -tau * (vecs.conj() * (h0 @ vecs)).sum(axis=0).real
-    gg = np.angle((r @ weights) * np.exp(0.5j * tau * (z @ weights)))
-    return vecs, u, gd, gg
+    heff = h0.copy()
+    d = h0.shape[-1]
+    heff.reshape(-1, d * d)[:, :: d + 1] -= 0.5 * z
+    vals, vecs = np.linalg.eigh(heff)
+    r = np.exp(-0.5j * tau[:, None] * z)  # R(tau), diagonal
+    phase = np.exp(-1j * tau[:, None] * vals)
+    u = (r[:, :, None] * vecs * phase[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    scale = np.abs(vals).max(axis=1, initial=1.0)
+    flagged = vals[:, 1:] - vals[:, :-1] <= DEGENERACY_RTOL * scale[:, None]
+    for k in np.flatnonzero(flagged.any(axis=1)):
+        for g in _degenerate_groups(vals[k]):
+            if g.stop - g.start > 1:
+                blk = vecs[k][:, g]
+                vecs[k][:, g] = blk @ np.linalg.eigh(blk.conj().T @ h0[k] @ blk)[1]
+    gd = -tau[:, None] * (vecs.conj() * (h0 @ vecs)).sum(axis=1).real
+    return vecs, u, gd
 
 
 def segment_evolution(p: PulseParams) -> tuple[np.ndarray, np.ndarray]:
     """Propagator and per-eigenstate dynamical phases of one cyclic segment."""
-    return _evolve(p)[1:3]
+    _, u, gd = _evolve(*_stacks((p,)))
+    return u[0], gd[0]
 
 
 def eigenframe_propagator(p: PulseParams) -> np.ndarray:
@@ -268,13 +282,16 @@ def eigenframe_propagator(p: PulseParams) -> np.ndarray:
 def sequence_evolution(seq: LoopSequence) -> tuple[np.ndarray, np.ndarray]:
     """Gate of a loop sequence (first segment acts first) and the dynamical
     phases of its segments, shape (segments, dim)."""
-    u = np.eye(seq.segments[0].dim, dtype=complex)
-    gds = []
-    for seg in seq:
-        useg, gd = segment_evolution(seg)
-        u = useg @ u
-        gds.append(gd)
-    return u, np.stack(gds)
+    _, us, gd = _evolve(*_stacks(seq.segments))
+    return _chain(us), gd
+
+
+def _chain(us: np.ndarray) -> np.ndarray:
+    """us[-1] ... us[1] us[0]: the first factor acts first."""
+    u = us[0]
+    for step in us[1:]:
+        u = step @ u
+    return u
 
 
 def phases(p: PulseParams) -> PhaseRecord:
@@ -286,7 +303,11 @@ def phases(p: PulseParams) -> PhaseRecord:
     alpha = gg + gd (mod 2pi) to about 1e-15 by construction: a consistency
     value, not an oracle check (`ode_propagator` is the oracle).
     """
-    vecs, u, gd, gg = _evolve(p)
+    h0, z, tau = _stacks((p,))
+    vecs, u, gd = (a[0] for a in _evolve(h0, z, tau))
+    z, tau = z[0], tau[0]
+    weights = np.abs(vecs) ** 2  # |<b|u_n>|^2: Z and R(tau) are diagonal
+    gg = np.angle((np.exp(-0.5j * tau * z) @ weights) * np.exp(0.5j * tau * (z @ weights)))
     alpha = np.angle(np.einsum("ik,ij,jk->k", vecs.conj(), u, vecs))
     return PhaseRecord(
         alpha_total=tuple(float(a) for a in alpha),

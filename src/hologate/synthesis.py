@@ -8,23 +8,35 @@ in SU(2) scalars rather than matrices: each loop gate is w I + i (v . sigma),
 loops compose by the quaternion product, and the fidelity is read from
 coefficients of tr(target^dag U) computed once per target. Two-qubit
 synthesis keeps all seven parameters per loop and penalizes the dynamical
-phases.
+phases; its costs map the parameter vector straight to the stacked H(0),
+frame and duration of every loop and propagate them all with one batched
+`eigh` (`propagation._evolve`), with no `PulseParams` per evaluation.
 
-scipy is imported by the first search, not with this module.
+Every search is a bounded Nelder-Mead simplex (`minimize`) implemented here
+with scipy's arithmetic, so no search imports scipy.
 """
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .linalg import PAULI_1Q, ValidationError, named_gate, pauli_basis, unitary_fidelity
-from .model import TWO_PI, LoopSequence, PulseParams
+from .model import (
+    _SZ_DIAGONALS,
+    TWO_PI,
+    LoopSequence,
+    PulseParams,
+    _coefficients,
+    _hamiltonians,
+)
 from .propagation import (
+    _chain,
+    _evolve,
     _loop_quaternion,
     segment_evolution,
     sequence_evolution,
@@ -66,7 +78,7 @@ class SynthesisProblem:
     max_evals: int | None = None  # per-restart simplex evaluation budget
 
     def __post_init__(self):
-        if self.n_qubits not in (1, 2):
+        if _integer(self.n_qubits, "n_qubits") not in (1, 2):
             raise ValidationError("synthesis supports one or two qubits")
         target = np.asarray(self.target, dtype=complex)
         if target.shape != (2 ** self.n_qubits,) * 2:
@@ -76,9 +88,9 @@ class SynthesisProblem:
         if np.linalg.norm(target.conj().T @ target - np.eye(target.shape[0])) > 1e-8:
             raise ValidationError("target must be unitary")
         object.__setattr__(self, "target", target)
-        if self.n_loops < 1:
+        if _integer(self.n_loops, "n_loops") < 1:
             raise ValidationError("n_loops must be positive")
-        _require_search_counts(self.seed, self.restarts, self.max_evals, 1)
+        _require_search_counts(self.seed, self.restarts, self.max_evals)
         _require_weights(self.penalty_weight, self.coupling)
         if self.bounds is not None:
             bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -145,13 +157,13 @@ _PROBLEM_FIELDS = ["bounds", "coupling", "max_evals", "n", "n_loops", "penalty_w
 
 
 def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
@@ -164,9 +176,9 @@ def _real_matrix(rows) -> np.ndarray:
 
 
 def _require_weights(penalty_weight: float, coupling: float) -> None:
-    if not (0 <= penalty_weight < math.inf and math.isfinite(coupling)):
-        raise ValidationError("need a finite penalty weight >= 0 and a finite coupling; "
-                              f"got {penalty_weight}, {coupling}")
+    _number(coupling, "coupling")
+    if _number(penalty_weight, "penalty_weight") < 0:
+        raise ValidationError(f"need a penalty weight >= 0, got {penalty_weight}")
 
 
 def _require_loop_bounds(bounds, n_qubits: int) -> None:
@@ -298,51 +310,151 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     return cost
 
 
+#: Diagonal of sz_0 + sz_1: the loops drive both qubits at one frequency w,
+#: so Z = w (sz_0 + sz_1).
+_SZ_SUM_2Q = _SZ_DIAGONALS[2].sum(axis=0)
+
+
 def _two_qubit_evolution(x, coupling: float):
-    """`sequence_evolution` of the two-qubit loops x."""
-    return sequence_evolution(two_qubit_sequence_from_vector(x, coupling))
+    """Gate and per-loop dynamical phases of the two-qubit loops x, as
+    `sequence_evolution(two_qubit_sequence_from_vector(x, coupling))` but
+    read straight off the vector: the bounds, checked before any search,
+    keep every loop buildable, and tau = 2 pi / w makes it cyclic."""
+    v = np.reshape(x, (-1, 7))
+    w = v[:, 2]
+    coeffs = _coefficients(v[:, 0:2], v[:, 3:5], v[:, 5:7], coupling)
+    _, us, gd = _evolve(_hamiltonians(coeffs, 2), w[:, None] * _SZ_SUM_2Q, TWO_PI / w)
+    return _chain(us), gd
 
 
 def _two_qubit_cost(target: np.ndarray, penalty_weight: float, coupling: float):
+    d = target.shape[0]
+
     def cost(x: np.ndarray) -> float:
         u, gd = _two_qubit_evolution(x, coupling)
-        return 1.0 - unitary_fidelity(target, u) + penalty_weight * _phase_penalty(gd)
+        # |tr(target^dag U)| / d, the `unitary_fidelity`
+        return 1.0 - abs(np.vdot(target, u)) / d + penalty_weight * _phase_penalty(gd)
 
     return cost
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on first use: importing
-    scipy.optimize takes about half a second, and only the searches need it."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class SimplexResult:
+    """End of one simplex search: best vertex, its cost, and the evaluations
+    and iterations spent."""
 
-    return scipy_minimize(*args, **kwargs)
-
-
-def _require_search_counts(seed: int, restarts: int, max_evals: int | None, workers: int):
-    if seed < 0 or restarts < 1 or (max_evals is not None and max_evals < 1) or workers < 1:
-        raise ValidationError("need seed >= 0 and restarts, max_evals, workers >= 1; "
-                              f"got {seed}, {restarts}, {max_evals}, {workers}")
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
 
 
-def _run_restarts(cost, bounds, seed: int, restarts: int, options: dict, workers: int = 1,
+class _BudgetSpent(Exception):
+    pass
+
+
+def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
+             maxfev: int) -> SimplexResult:
+    """Bounded Nelder-Mead simplex (Nelder & Mead, Comput. J. 7, 308 (1965)).
+
+    Step for step the arithmetic of scipy.optimize.minimize(method=
+    "Nelder-Mead", bounds=...), so a search visits the same points:
+    reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the initial
+    simplex scales one coordinate of x0 by 1.05 per vertex (0.00025 for a
+    zero coordinate) and reflects a vertex past the upper bound back inside;
+    every point is clipped to the bounds; vertices are ordered by
+    `np.argsort`. The search ends at `maxfev` evaluations (even in the middle
+    of an iteration), at `maxiter` iterations, or when every vertex and its
+    cost lie within xatol and fatol of the best.
+    """
+    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
+    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return sim[ind], fsim[ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = ordered(*ordered(sim, fsim))  # sorted twice, as scipy does
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, nit=nit)
+
+
+def _require_search_counts(seed: int, restarts: int, max_evals: int | None) -> None:
+    """Refuse a count that is not an integer (a bool included), a negative
+    seed, and fewer than one restart or evaluation."""
+    _integer(seed, "seed")
+    _integer(restarts, "restarts")
+    if max_evals is not None:
+        _integer(max_evals, "max_evals")
+    if seed < 0 or restarts < 1 or (max_evals is not None and max_evals < 1):
+        raise ValidationError("need seed >= 0 and restarts, max_evals >= 1; "
+                              f"got {seed}, {restarts}, {max_evals}")
+
+
+def _run_restarts(cost, bounds, seed: int, restarts: int, options: dict,
                   max_evals: int | None = None):
-    _require_search_counts(seed, restarts, max_evals, workers)
+    _require_search_counts(seed, restarts, max_evals)
     if max_evals is not None:
         options = options | {"maxfev": int(max_evals), "maxiter": int(max_evals)}
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
     starts = rng.uniform(lo, hi, size=(restarts, len(bounds)))
-
-    def solve(x0):
-        res = minimize(cost, x0, method="Nelder-Mead", bounds=bounds, options=options)
-        return float(res.fun), np.asarray(res.x)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(solve, starts))
-    return [solve(x0) for x0 in starts]
+    # `minimize` is looked up at call time, so a wrapper bound to the module
+    # name sees every search
+    results = [minimize(cost, x0, bounds, **options) for x0 in starts]
+    return [(res.fun, res.x) for res in results]
 
 
 def _pick_best(candidates, sequence_of):
@@ -368,7 +480,7 @@ def _key_better(key, ref) -> bool:
     return key[1:] > ref[1:]
 
 
-def synthesize(problem: SynthesisProblem, workers: int = 1) -> SynthesisResult:
+def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     """Best-of-restarts simplex search for the target gate.
 
     Reproducible for a fixed seed: restart starting points are drawn once
@@ -386,7 +498,7 @@ def synthesize(problem: SynthesisProblem, workers: int = 1) -> SynthesisResult:
         sequence_of = lambda x: two_qubit_sequence_from_vector(x, problem.coupling)
 
     candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options,
-                               workers, problem.max_evals)
+                               problem.max_evals)
     _, seq = _pick_best(candidates, sequence_of)
 
     u, gd = sequence_evolution(seq)
@@ -429,6 +541,15 @@ def entangling_score(p: PulseParams) -> float:
     return float(correlation_singular_values(u)[1])
 
 
+def _entangler_cost(penalty_weight: float, coupling: float):
+    """Entangling score of one loop plus the dynamical-phase penalty."""
+    def cost(x: np.ndarray) -> float:
+        u, gd = _two_qubit_evolution(x, coupling)
+        return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
+
+    return cost
+
+
 #: Third-ascending singular value below this marks a tensor-product unitary.
 SEPARABLE_S2 = 1e-2
 
@@ -440,7 +561,6 @@ def find_entangling(
     penalty_weight: float = 10.0,
     coupling: float = 1.0,
     score_tol: float = 1e-3,
-    workers: int = 1,
     max_evals: int | None = None,
 ) -> SynthesisResult:
     """Search a single loop whose propagator is certified entangling.
@@ -454,14 +574,8 @@ def find_entangling(
         raise ValidationError("entangler search uses 7 parameters (single loop)")
     _require_loop_bounds(bounds, 2)
     _require_weights(penalty_weight, coupling)
-
-    def cost(x: np.ndarray) -> float:
-        u, gd = _two_qubit_evolution(x, coupling)
-        return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
-
-    candidates = _run_restarts(
-        cost, bounds, seed, restarts, _NM_OPTIONS_2Q, workers, max_evals
-    )
+    cost = _entangler_cost(penalty_weight, coupling)
+    candidates = _run_restarts(cost, bounds, seed, restarts, _NM_OPTIONS_2Q, max_evals)
 
     best = None  # (key, x, m, max_gd)
     for _, x in candidates:

@@ -244,13 +244,14 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in ("tables", "verify-di", "phases", "gate", "qpt")
         for flag in ("--seed", "--jobs")
-    ] + [("rb", "--jobs"), ("verify-di", "--grid")] + [
+    ] + [("rb", "--jobs"), ("synth", "--jobs"), ("entangle", "--jobs"), ("verify-di", "--grid")] + [
         (command, "--grid") for command in ("tables", "phases", "gate", "qpt", "rb")
     ])
     def test_unread_options_rejected(self, command, flag, x_sequence_file, capsys):
         # every other argument is valid, so the option alone is refused
         needs = {"verify-di": ["--input", x_sequence_file], "phases": ["--input", x_sequence_file],
-                 "gate": ["--input", x_sequence_file], "qpt": ["--gate", "X"], "rb": ["--gate", "X"]}
+                 "gate": ["--input", x_sequence_file], "synth": ["--input", x_sequence_file],
+                 "qpt": ["--gate", "X"], "rb": ["--gate", "X"]}
         with pytest.raises(SystemExit) as exc:
             run_cli([command, *needs.get(command, []), flag, "1024"])
         assert exc.value.code == 2
@@ -266,9 +267,6 @@ class TestErrorHandling:
 
     def test_synth_zero_max_evals_in_problem(self, tmp_path):
         assert run_cli(["synth", "--input", self._problem(tmp_path, max_evals=0)]) == 2
-
-    def test_synth_zero_jobs(self, tmp_path):
-        assert run_cli(["synth", "--input", self._problem(tmp_path), "--jobs", "0"]) == 2
 
     @pytest.mark.parametrize("field,value", [
         ("bounds", [[1.5, 3.0, 99.0], [0.0, 6.0]]),
@@ -310,9 +308,6 @@ class TestErrorHandling:
     def test_entangle_zero_max_evals(self):
         assert run_cli(["entangle", "--max-evals", "0"]) == 2
 
-    def test_entangle_zero_jobs(self):
-        assert run_cli(["entangle", "--jobs", "0"]) == 2
-
     def test_rb_negative_seed(self):
         assert run_cli(["rb", "--seed", "-1", "--m-values", "2", "--n-seq", "2"]) == 2
 
@@ -322,21 +317,26 @@ class TestErrorHandling:
 
 
 def test_commands_without_search_leave_scipy_unloaded(x_sequence_file, tmp_path):
-    # importing scipy.optimize costs about half a second; only synth, entangle
-    # and rb need it, so the package and these commands must not load it
+    # importing scipy.optimize costs about half a second and some 46 MB; only
+    # the rb decay fit needs it (the searches run the package's own simplex),
+    # so the package and these commands must not load any of scipy
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"target": "X", "n_loops": 2, "seed": 1, "restarts": 2}))
     script = f"""
 import sys
 import hologate, hologate.cli
 for argv in (["gate", "--input", {str(x_sequence_file)!r}, "--target", "X"],
              ["phases", "--input", {str(x_sequence_file)!r}],
-             ["qpt", "--gate", "X"]):
+             ["qpt", "--gate", "X"],
+             ["synth", "--input", {str(problem)!r}],
+             ["entangle", "--restarts", "1", "--max-evals", "20"]):
     assert hologate.cli.main(argv + ["--output", {str(tmp_path / "out.json")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_entry_point(x_sequence_file):

@@ -30,6 +30,7 @@ from hologate.propagation import (
     _loop_quaternion,
     _ode_steps,
     _require_abelian,
+    _stacks,
     _transport,
     build_eigenframe,
     segment_evolution,
@@ -168,11 +169,45 @@ class TestEigenframePropagator:
         assert p.is_cyclic()
         uo = ode_propagator(p)
         assert np.linalg.norm(eigenframe_propagator(p) - uo) < 1e-8
-        vecs = _evolve(p)[0]
+        vecs = _evolve(*_stacks((p,)))[0][0]
         rec = phases(p)
         alpha = np.angle(np.einsum("ik,ij,jk->k", vecs.conj(), uo, vecs))
         total = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
         assert circle_distance(alpha, total) < 1e-8
+
+
+class TestStackedEvolve:
+    def test_matches_one_segment_path(self, rng):
+        # degenerate H_eff pairs in the stack: an undriven loop with equal
+        # detunings, a coupling-free driven pair, and (not a pulse segment)
+        # a random degenerate H_eff whose eigh basis leaves H(0) undiagonal
+        undriven = PulseParams(n=2, omega_drive=(0.0, 0.0), omega_rot=(3.0, 3.0),
+                               phase=(0.4, 1.1), detuning=(0.7, 0.7),
+                               couplings={(0, 1): 0.9}, duration=TWO_PI / 3.0)
+        free_pair = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
+                                phase=(0.2, 1.0), detuning=(1.0, 1.0),
+                                couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
+        segs = [random_cyclic_params(rng, 2) for _ in range(4)]
+        segs[1:1] = [undriven]
+        segs[4:4] = [free_pair]
+        h0, z, tau = _stacks(segs)
+        q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        z_mixed = np.array([2.0, 0.5, -0.7, -1.8])
+        h_mixed = q @ np.diag([-1.0, 0.3, 0.3, 1.2]) @ q.conj().T + np.diag(0.5 * z_mixed)
+        h0, z, tau = np.concatenate([h0, [h_mixed]]), np.vstack([z, z_mixed]), np.append(tau, 1.3)
+        stacked = _evolve(h0, z, tau)
+        for k in range(len(tau)):
+            for a, b in zip(stacked, _evolve(h0[k:k + 1], z[k:k + 1], tau[k:k + 1])):
+                np.testing.assert_allclose(a[k], b[0], rtol=0, atol=1e-14)
+        for k in (1, 4, 6):
+            # the Abelian representative: inside the degenerate H_eff pair the
+            # returned basis diagonalizes H(0)
+            vecs = stacked[0][k]
+            e = np.diag(vecs.conj().T @ (h0[k] - np.diag(0.5 * z[k])) @ vecs).real
+            pair = np.abs(e[:, None] - e[None, :]) < 1e-9
+            np.fill_diagonal(pair, False)
+            assert pair.any()
+            assert np.abs((vecs.conj().T @ h0[k] @ vecs)[pair]).max() < 1e-12
 
 
 def loop_ratio_params(ratio: float, phi: float) -> PulseParams:
@@ -222,7 +257,7 @@ class TestOdePropagator:
         # the oracle, run on the segment cut off at t, keeps each invariant
         # eigenstate R(0)|u_n> on its own closed-form frame vector R(t)|u_n>
         p = random_cyclic_params(rng, 2)
-        vecs = _evolve(p)[0]
+        vecs = _evolve(*_stacks((p,)))[0][0]
         z = frame_frequencies(p)
         for t in np.linspace(0.0, p.duration, 9)[1:]:
             u = ode_propagator(dataclasses.replace(p, duration=t))

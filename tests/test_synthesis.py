@@ -17,15 +17,26 @@ from hologate import (
     unitary_fidelity,
 )
 from hologate import single_qubit_loop_gate, tables
+from hologate.propagation import sequence_evolution
 from hologate.synthesis import (
+    _NM_OPTIONS,
+    _NM_OPTIONS_2Q,
     SINGLE_QUBIT_BOUNDS,
     TWO_QUBIT_BOUNDS,
     _closed_form_cost,
+    _entangler_cost,
+    _two_qubit_cost,
+    minimize,
     single_qubit_sequence_from_vector,
     two_qubit_sequence_from_vector,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def cnot_window(pad):
+    """Bounds within +-pad of the published CNOT rows, floored at zero."""
+    return tuple((max(v - pad, 0.0), v + pad) for row in tables.CNOT_ROWS for v in row)
 
 
 class TestObjective:
@@ -98,6 +109,98 @@ class TestClosedFormCost:
                 assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
 
 
+class TestTwoQubitCosts:
+    """The costs read straight off the parameter vector against the same costs
+    built through `PulseParams` and `sequence_evolution`."""
+
+    @staticmethod
+    def reference(x, coupling):
+        u, gd = sequence_evolution(two_qubit_sequence_from_vector(x, coupling))
+        return u, float(np.abs(gd).sum())
+
+    @staticmethod
+    def points(rng, n_loops):
+        lo, hi = np.array(TWO_QUBIT_BOUNDS * n_loops).T
+        for _ in range(200):
+            yield rng.uniform(lo, hi)
+        yield lo
+        yield hi
+        for _ in range(20):  # every parameter at one of its bounds
+            yield np.where(rng.integers(0, 2, lo.size) == 1, hi, lo)
+
+    def test_cnot_cost(self, rng):
+        target, coupling = named_gate("CNOT"), tables.TWO_QUBIT_TABLE_COUPLING
+        cost = _two_qubit_cost(target, 10.0, coupling)
+        for x in self.points(rng, 5):
+            u, penalty = self.reference(x, coupling)
+            expected = 1.0 - unitary_fidelity(target, u) + 10.0 * penalty
+            assert cost(x) == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_entangler_cost(self, rng):
+        cost = _entangler_cost(10.0, 1.0)
+        for x in self.points(rng, 1):
+            u, penalty = self.reference(x, 1.0)
+            expected = correlation_singular_values(u)[1] + 10.0 * penalty
+            assert cost(x) == pytest.approx(expected, rel=0, abs=1e-13)
+
+
+class TestSimplex:
+    """The package's bounded Nelder-Mead against scipy's, bit for bit."""
+
+    @staticmethod
+    def compare(cost, x0, bounds, options):
+        from scipy.optimize import minimize as scipy_minimize
+
+        ours = minimize(cost, x0, bounds, **options)
+        ref = scipy_minimize(cost, x0, method="Nelder-Mead", bounds=bounds, options=options)
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert ours.fun == ref.fun
+        assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
+        return ours
+
+    @pytest.mark.parametrize("n_loops", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["X", "H", "T"])
+    def test_single_qubit_cost(self, name, n_loops):
+        bounds = SINGLE_QUBIT_BOUNDS * n_loops
+        lo, hi = np.array(bounds).T
+        cost = _closed_form_cost(named_gate(name), n_loops)
+        for seed in range(3):
+            self.compare(cost, np.random.default_rng(seed).uniform(lo, hi), bounds, _NM_OPTIONS)
+
+    @pytest.mark.parametrize("corner", ["upper", "lower"])
+    def test_start_on_a_bound(self, corner):
+        # the initial simplex leaves the upper bound and is reflected back;
+        # at the lower bound phi = 0 gets the absolute step
+        bounds = SINGLE_QUBIT_BOUNDS * 2
+        x0 = np.array(bounds)[:, 1 if corner == "upper" else 0]
+        self.compare(_closed_form_cost(named_gate("H"), 2), x0, bounds, _NM_OPTIONS)
+
+    def test_shrink_step(self):
+        bounds = SINGLE_QUBIT_BOUNDS
+        x0 = np.random.default_rng(0).uniform(*np.array(bounds).T)
+        res = self.compare(_closed_form_cost(named_gate("X"), 1), x0, bounds, _NM_OPTIONS)
+        # without a shrink an iteration spends at most two evaluations
+        assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
+
+    @pytest.mark.parametrize("max_evals", [5, 37, 120])
+    def test_cnot_cost(self, max_evals):
+        bounds = cnot_window(0.03)
+        cost = _two_qubit_cost(named_gate("CNOT"), 10.0, tables.TWO_QUBIT_TABLE_COUPLING)
+        x0 = np.random.default_rng(max_evals).uniform(*np.array(bounds).T)
+        options = _NM_OPTIONS_2Q | {"maxfev": max_evals, "maxiter": max_evals}
+        res = self.compare(cost, x0, bounds, options)
+        assert res.nfev == max_evals
+
+    @pytest.mark.parametrize("max_evals", [3, 20, 400])
+    def test_entangler_cost(self, max_evals):
+        bounds = tuple((max(v - 0.3, lo), v + 0.3)
+                       for v, (lo, _) in zip(tables.ENTANGLER_ROW, TWO_QUBIT_BOUNDS))
+        cost = _entangler_cost(10.0, tables.TWO_QUBIT_TABLE_COUPLING)
+        x0 = np.random.default_rng(max_evals).uniform(*np.array(bounds).T)
+        options = _NM_OPTIONS_2Q | {"maxfev": max_evals, "maxiter": max_evals}
+        self.compare(cost, x0, bounds, options)
+
+
 class TestSynthesize:
     def test_identity_single_loop(self):
         problem = SynthesisProblem(
@@ -132,14 +235,14 @@ class TestSynthesize:
         for sa, sb in zip(a.sequence, b.sequence):
             assert sa == sb
 
-    def test_parallel_restarts_match_serial(self):
+    def test_two_qubit_deterministic_given_seed(self):
         problem = SynthesisProblem(
-            target=named_gate("T"), n_qubits=1, n_loops=2, seed=9, restarts=8,
+            target=named_gate("CNOT"), n_qubits=2, n_loops=5, seed=4, restarts=2,
+            bounds=cnot_window(0.02), coupling=tables.TWO_QUBIT_TABLE_COUPLING,
+            max_evals=60,
         )
-        serial = synthesize(problem, workers=1)
-        threaded = synthesize(problem, workers=4)
-        assert serial.fidelity == threaded.fidelity
-        assert serial.sequence == threaded.sequence
+        a, b = synthesize(problem), synthesize(problem)
+        assert a.to_dict() == b.to_dict()
 
     def test_not_converged_flagged(self):
         # a single loop cannot realize the Hadamard axis/angle combination
@@ -151,14 +254,9 @@ class TestSynthesize:
         assert result.fidelity < 0.999
 
     def test_two_qubit_warm_start_cnot(self):
-        bounds = []
-        for row in tables.CNOT_ROWS:
-            for k, v in enumerate(row):
-                pad = 0.02 if k not in (3, 4) else 0.02
-                bounds.append((max(v - pad, 0.0), v + pad))
         problem = SynthesisProblem(
             target=named_gate("CNOT"), n_qubits=2, n_loops=5,
-            seed=1, restarts=1, bounds=tuple(bounds),
+            seed=1, restarts=1, bounds=cnot_window(0.02),
             coupling=tables.TWO_QUBIT_TABLE_COUPLING,
             max_evals=300,
         )
@@ -179,16 +277,19 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("field,value", [
         ("seed", -1), ("restarts", 0), ("restarts", -1), ("max_evals", 0),
-        ("coupling", float("inf")),
+        ("coupling", float("inf")), ("coupling", "1"), ("penalty_weight", None),
     ])
     def test_problem_counts_validated(self, field, value):
         with pytest.raises(ValidationError):
             SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1, **{field: value})
 
-    def test_zero_workers_rejected(self):
-        problem = SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1, restarts=1)
-        with pytest.raises(ValidationError):
-            synthesize(problem, workers=0)
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.7), ("n_loops", 1.5), ("restarts", 2.0), ("max_evals", 3.5),
+        ("restarts", True), ("n_qubits", 1.0),
+    ])
+    def test_problem_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SynthesisProblem(**{"target": np.eye(2), "n_qubits": 1, "n_loops": 1} | {field: value})
 
     @pytest.mark.parametrize("n_qubits,bound,index", [
         (1, (1.0, 3.0), 0),     # ratio w/D = 1: no zero-dynamical-phase drive
@@ -303,16 +404,26 @@ class TestFindEntangling:
             find_entangling(bounds=bounds, restarts=1)
 
     @pytest.mark.parametrize("kwargs", [dict(coupling=float("nan")),
-                                        dict(penalty_weight=-1.0)])
+                                        dict(penalty_weight=-1.0), dict(penalty_weight="1")])
     def test_weights_validated(self, kwargs):
         with pytest.raises(ValidationError):
             find_entangling(restarts=1, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(seed=-1), dict(restarts=0), dict(restarts=-1), dict(max_evals=0), dict(workers=0),
+        dict(seed=-1), dict(restarts=0), dict(restarts=-1), dict(max_evals=0),
     ])
     def test_counts_validated(self, kwargs):
         with pytest.raises(ValidationError):
+            find_entangling(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=1.7), dict(restarts=2.0), dict(max_evals=3.5), dict(seed=True),
+    ])
+    def test_counts_must_be_integers(self, kwargs, monkeypatch):
+        from hologate import synthesis
+
+        monkeypatch.setattr(synthesis, "minimize", None)  # a started search raises TypeError
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             find_entangling(**kwargs)
 
 
