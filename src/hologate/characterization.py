@@ -17,6 +17,8 @@ import numpy as np
 
 from .linalg import (
     ValidationError,
+    _integer,
+    _number,
     named_gate,
     pauli_basis,
     pauli_labels,
@@ -45,7 +47,7 @@ class DepolarizingChannel:
     """rho -> (1 - eps) rho + eps tr(rho) I / d."""
 
     def __init__(self, eps: float, n: int = 1):
-        if not 0.0 <= eps <= 1.0:
+        if not 0.0 <= _number(eps, "depolarizing strength") <= 1.0:
             raise ValidationError("depolarizing strength must lie in [0, 1]")
         self.eps = float(eps)
         self.n = int(n)
@@ -301,7 +303,8 @@ def rb_run(
     intended gate used for the recovery; it defaults to the implementation
     itself (for a gate name, the named unitary).
     """
-    m_values = tuple(int(m) for m in m_values)
+    m_values = tuple(_integer(m, "m value") for m in m_values)
+    n_sequences, seed = _integer(n_sequences, "n_sequences"), _integer(seed, "seed")
     if any(m < 1 for m in m_values) or n_sequences < 1 or seed < 0:
         raise ValidationError("m values and n_sequences must be positive, seed nonnegative")
     dep_clifford = pauli_transfer(DepolarizingChannel(eps_clifford)).matrix

@@ -8,6 +8,7 @@ codes: 0 success, 1 a verification check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -288,7 +289,10 @@ def cmd_rb(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each subcommand runs
+    the `cmd_<name>` function of this module, looked up when it is called."""
     parser = argparse.ArgumentParser(
         prog="hologate",
         description="Holonomic gate synthesis and verification via dynamical invariants",
@@ -303,32 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="verify the embedded published tables")
     common(p)
-    p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify-di", help="check the invariant identity and residual")
     common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.add_argument("--dt", type=float, default=1e-6)
     p.add_argument("--samples", type=int, default=5)
-    p.set_defaults(func=cmd_verify_di)
 
     p = sub.add_parser("phases", help="geometric/dynamical phase split per segment")
     common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
-    p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser("gate", help="propagate a sequence and compare to a target")
     common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None)
-    p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("synth", help="synthesize pulses for a target gate")
     common(p, seed=True)
     p.add_argument("--input", required=True, help="SynthesisProblem JSON")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--penalty", type=float, default=None)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("entangle", help="search for a single-loop entangling gate")
     common(p, seed=True)
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", type=float, default=1.0)
     p.add_argument("--max-evals", type=int, default=None,
                    help="per-restart simplex evaluation budget")
-    p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("qpt", help="Pauli-basis process tomography of a gate")
     common(p)
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=sorted(GATES), default=None,
                    help="ideal gate for the fidelity comparison")
     p.add_argument("--noise-eps", type=float, default=0.0)
-    p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("rb", help="reference + interleaved randomized benchmarking")
     common(p, seed=True)
@@ -360,16 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depolarizing strength after each interleaved target")
     p.add_argument("--m-values", default="2,4,8,16,32,64")
     p.add_argument("--n-seq", type=int, default=40)
-    p.set_defaults(func=cmd_rb)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a wrapper bound to the module name sees the call
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

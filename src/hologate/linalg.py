@@ -6,6 +6,8 @@ Everything here is a pure function of its arguments; dimensions are small
 """
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +17,20 @@ HERMITICITY_RTOL = 1e-12
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented precondition."""
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; any integral number but a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, name: str) -> float:
+    """`value` as a float; any finite real number but a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 PAULI_1Q = {

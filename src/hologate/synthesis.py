@@ -13,19 +13,30 @@ frame and duration of every loop and propagate them all with one batched
 `eigh` (`propagation._evolve`), with no `PulseParams` per evaluation.
 
 Every search is a bounded Nelder-Mead simplex (`minimize`) implemented here
-with scipy's arithmetic, so no search imports scipy.
+with scipy's arithmetic, so no search imports scipy. Its bookkeeping is in
+plain Python floats, since numpy calls on vectors of 2 to 35 entries cost
+more than the single-qubit objective itself; the costs take each vertex as a
+list of floats.
 """
 from __future__ import annotations
 
 import json
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import PAULI_1Q, ValidationError, named_gate, pauli_basis, unitary_fidelity
+from .linalg import (
+    PAULI_1Q,
+    ValidationError,
+    _integer,
+    _number,
+    named_gate,
+    pauli_basis,
+    unitary_fidelity,
+)
 from .model import (
     _SZ_DIAGONALS,
     TWO_PI,
@@ -156,18 +167,6 @@ _PROBLEM_FIELDS = ["bounds", "coupling", "max_evals", "n", "n_loops", "penalty_w
                    "restarts", "seed", "target"]
 
 
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _real_matrix(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows or any(
             not isinstance(r, list) or len(r) != len(rows) for r in rows):
@@ -290,13 +289,12 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     r0, r1, r2, r3 = (float(c.real) for c in coeffs)
     i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
 
-    def cost(x: np.ndarray) -> float:
-        vals = x.tolist()
+    def cost(x: Sequence[float]) -> float:
         w, vx, vy, vz = 1.0, 0.0, 0.0, 0.0
         for k in range(0, 2 * n_loops, 2):
-            ratio = max(vals[k], 1.0 + 1e-12)
+            ratio = max(x[k], 1.0 + 1e-12)
             theta = math.pi - math.asin(1.0 / math.sqrt(ratio))
-            gw, gx, gy, gz = _loop_quaternion(theta, vals[k + 1])
+            gw, gx, gy, gz = _loop_quaternion(theta, x[k + 1])
             w, vx, vy, vz = (
                 gw * w - gx * vx - gy * vy - gz * vz,
                 gw * vx + w * gx - gy * vz + gz * vy,
@@ -330,7 +328,7 @@ def _two_qubit_evolution(x, coupling: float):
 def _two_qubit_cost(target: np.ndarray, penalty_weight: float, coupling: float):
     d = target.shape[0]
 
-    def cost(x: np.ndarray) -> float:
+    def cost(x: Sequence[float]) -> float:
         u, gd = _two_qubit_evolution(x, coupling)
         # |tr(target^dag U)| / d, the `unitary_fidelity`
         return 1.0 - abs(np.vdot(target, u)) / d + penalty_weight * _phase_penalty(gd)
@@ -362,19 +360,38 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
     reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the initial
     simplex scales one coordinate of x0 by 1.05 per vertex (0.00025 for a
     zero coordinate) and reflects a vertex past the upper bound back inside;
-    every point is clipped to the bounds; vertices are ordered by
-    `np.argsort`. The search ends at `maxfev` evaluations (even in the middle
-    of an iteration), at `maxiter` iterations, or when every vertex and its
-    cost lie within xatol and fatol of the best.
+    every point is clipped to the bounds; the centroid is summed vertex by
+    vertex from the best one. The search ends at `maxfev` evaluations (even
+    in the middle of an iteration), at `maxiter` iterations, or when every
+    vertex and its cost lie within xatol and fatol of the best.
+
+    The bookkeeping is in plain Python floats: the simplex is a list of
+    vertex lists, and `fun` is called with a vertex list. Vertices are
+    ordered by a stable sort of their costs; when the costs hold a tie or a
+    NaN, by `np.argsort`, as scipy does, since that sort need not be stable
+    and so may order tied vertices differently.
     """
-    lo, hi = (np.array(b, dtype=float) for b in zip(*bounds))
-    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.full(n + 1, np.inf)
+    lo, hi = ([float(v) for v in b] for b in zip(*bounds))
+
+    def clip(x):
+        """min(max(v, low), high) for each coordinate."""
+        return [h if h < v else (l if l > v else v) for v, l, h in zip(x, lo, hi)]
+
+    def toward(a, u, b, v):
+        """a u + b v, clipped; with b = -c this is bitwise a u - c v, the form
+        scipy computes."""
+        return [h if h < (y := a * p + b * q) else (l if l > y else y)
+                for p, q, l, h in zip(u, v, lo, hi)]
+
+    x0 = clip(np.asarray(x0, dtype=float).tolist())
+    n = len(x0)
+    sim = [x0]
+    for k, v in enumerate(x0):
+        y = (1 + 0.05) * v if v != 0 else 0.00025
+        vertex = list(x0)
+        vertex[k] = 2 * hi[k] - y if y > hi[k] else y
+        sim.append(clip(vertex))
+    fsim = [math.inf] * (n + 1)
     nfev = 0
 
     def f(x):
@@ -385,8 +402,12 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
         return fun(x)
 
     def ordered(sim, fsim):
-        ind = np.argsort(fsim)
-        return sim[ind], fsim[ind]
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        costs = list(map(fsim.__getitem__, order))
+        if not all(map(operator.lt, costs, costs[1:])):  # a tie or a NaN
+            order = np.argsort(fsim).tolist()
+            costs = list(map(fsim.__getitem__, order))
+        return list(map(sim.__getitem__, order)), costs
 
     try:
         for k in range(n + 1):
@@ -397,38 +418,43 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
     nit = 1
     while nfev < maxfev and nit < maxiter:
         try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            best, fbest = sim[0], fsim[0]
+            if (all(abs(fbest - c) <= fatol for c in fsim[1:])
+                    and all(abs(p - q) <= xatol for x in sim[1:] for p, q in zip(x, best))):
                 break
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = np.clip(2 * xbar - sim[-1], lo, hi)
+            xbar = best
+            for x in sim[1:-1]:
+                xbar = map(operator.add, xbar, x)
+            xbar = [p / n for p in xbar]
+            worst = sim[-1]
+            xr = toward(2, xbar, -1, worst)
             fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            if fxr < fbest:
+                xe = toward(3, xbar, -2, worst)
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                    xc = toward(1.5, xbar, -0.5, worst)
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                 else:  # inside contraction
-                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                    xc = toward(0.5, xbar, 0.5, worst)
                     fxc = f(xc)
                     shrink = not fxc < fsim[-1]
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                        sim[j] = clip([p + 0.5 * (q - p) for p, q in zip(best, sim[j])])
                         fsim[j] = f(sim[j])
             nit += 1
         except _BudgetSpent:
             pass
         sim, fsim = ordered(sim, fsim)
-    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nfev=nfev, nit=nit)
+    return SimplexResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev, nit=nit)
 
 
 def _require_search_counts(seed: int, restarts: int, max_evals: int | None) -> None:
@@ -543,7 +569,7 @@ def entangling_score(p: PulseParams) -> float:
 
 def _entangler_cost(penalty_weight: float, coupling: float):
     """Entangling score of one loop plus the dynamical-phase penalty."""
-    def cost(x: np.ndarray) -> float:
+    def cost(x: Sequence[float]) -> float:
         u, gd = _two_qubit_evolution(x, coupling)
         return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
 

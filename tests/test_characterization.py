@@ -276,6 +276,28 @@ class TestRb:
         with pytest.raises(ValidationError):
             rb_run(seed=-1, m_values=(2,), n_sequences=2)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"m_values": (2.7, 4)},  # would run as m = 2
+        {"m_values": (True, 4)},
+        {"n_sequences": True},  # would run, and record True
+        {"n_sequences": 2.5},
+        {"seed": 1.5},
+        {"seed": True},
+    ])
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            rb_run(**({"m_values": (2,), "n_sequences": 2} | kwargs))
+
+    def test_numpy_integer_counts(self):
+        run = rb_run(m_values=np.array([2, 4]), n_sequences=np.int64(2), seed=np.int64(1))
+        assert run.reference.m_values == (2, 4)
+        assert type(run.reference.n_sequences) is int
+
+    @pytest.mark.parametrize("eps", ["0.1", None, True])
+    def test_depolarizing_strength_must_be_a_number(self, eps):
+        with pytest.raises(ValidationError, match="finite number"):
+            rb_run(eps_clifford=eps, m_values=(2,), n_sequences=2)
+
 
 class TestRbGateFidelity:
     def _record(self, p):

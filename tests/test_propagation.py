@@ -320,22 +320,48 @@ class TestPhases:
     def test_degenerate_pair_grid_holonomy(self):
         # inside the degenerate pair both the grid transport and the closed
         # form pick the basis that diagonalizes H(0)
-        p = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
-                        phase=(0.2, 1.0), detuning=(1.0, 1.0),
-                        couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
-        frame = build_eigenframe(p)
-        assert frame.closure_defect() < 1e-9
-        berry = np.diag(frame.vectors[0].conj().T @ frame.vectors[-1])
-        assert circle_distance(np.angle(berry), phases(p).gamma_geometric) < 1e-6
+        for kind in ("equal", "unequal"):
+            p = degenerate_pair(kind)
+            frame = build_eigenframe(p)
+            assert frame.closure_defect() < 1e-9
+            berry = np.diag(frame.vectors[0].conj().T @ frame.vectors[-1])
+            assert circle_distance(np.angle(berry), phases(p).gamma_geometric) < 1e-6
 
     def test_degenerate_pair_phases(self):
-        p = PulseParams(n=2, omega_drive=(1.5, 1.5), omega_rot=(4.0, 4.0),
-                        phase=(0.2, 1.0), detuning=(1.0, 1.0),
-                        couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
-        rec = phases(p)
-        lhs = np.asarray(rec.alpha_total)
-        rhs = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
-        assert circle_distance(lhs, rhs) < 1e-6
+        # U(tau) is a multiple of I on the degenerate pair, so alpha is the same
+        # in every basis of the pair but the split into gg and gd is not: gd
+        # must be the grid quadrature in the transported frame
+        for kind in ("equal", "unequal"):
+            p = degenerate_pair(kind)
+            rec = phases(p)
+            lhs = np.asarray(rec.alpha_total)
+            rhs = np.asarray(rec.gamma_geometric) + np.asarray(rec.gamma_dynamical)
+            assert circle_distance(lhs, rhs) < 1e-6
+            frame = build_eigenframe(p)
+            h_path = hamiltonian_path(p, frame.times)
+            expect = np.einsum("tik,tij,tjk->tk", frame.vectors.conj(), h_path, frame.vectors).real
+            quadrature = -np.trapezoid(expect, frame.times, axis=0)
+            np.testing.assert_allclose(rec.gamma_dynamical, quadrature, atol=1e-9)
+
+    def test_unequal_degenerate_pair_h0_block(self):
+        # the H(0) block of the unequal pair is not a multiple of I, so only
+        # the rotated basis diagonalizes it
+        h0, z, tau = _stacks((degenerate_pair("unequal"),))
+        vecs = _evolve(h0, z, tau)[0][0]
+        block = (vecs.conj().T @ h0[0] @ vecs)[1:3, 1:3]  # H_eff levels -5, 0, 0, 5
+        assert abs(block[0, 1]) < 1e-12
+        assert abs(block[0, 0] - block[1, 1]) > 1.0
+
+
+def degenerate_pair(kind: str) -> PulseParams:
+    """A coupling-free pair with equal H_eff gaps, so H_eff has a degenerate
+    middle pair. "equal": W1 = W2 and D1 = D2, so the H(0) block of that pair
+    is 0. "unequal": W1 != W2 with W_j^2 + (D_j - w)^2 = 25 for both, so the
+    block is diag(-2.8, 2.8) in the product basis."""
+    drive, detuning = {"equal": ((1.5, 1.5), (1.0, 1.0)),
+                       "unequal": ((4.0, 3.0), (1.0, 8.0))}[kind]
+    return PulseParams(n=2, omega_drive=drive, omega_rot=(4.0, 4.0), phase=(0.2, 1.0),
+                       detuning=detuning, couplings={(0, 1): 0.0}, duration=TWO_PI / 4.0)
 
 
 class TestSingleQubitLoopGate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,7 @@ class TestSimplex:
         ours = minimize(cost, x0, bounds, **options)
         ref = scipy_minimize(cost, x0, method="Nelder-Mead", bounds=bounds, options=options)
         assert ours.x.tobytes() == ref.x.tobytes()
-        assert ours.fun == ref.fun
+        assert ours.fun == ref.fun or math.isnan(ours.fun) and math.isnan(ref.fun)
         assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
         return ours
 
@@ -181,6 +183,28 @@ class TestSimplex:
         res = self.compare(_closed_form_cost(named_gate("X"), 1), x0, bounds, _NM_OPTIONS)
         # without a shrink an iteration spends at most two evaluations
         assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
+
+    @pytest.mark.parametrize("plateau", [
+        lambda x: float(math.floor(4 * x[0]) + math.floor(2 * x[1])),
+        lambda x: 1.0,
+    ], ids=["steps", "constant"])
+    def test_tied_costs(self, plateau):
+        # tied vertex costs: the order among tied vertices must be np.argsort's,
+        # which need not be stable, or the searches part
+        bounds = SINGLE_QUBIT_BOUNDS * 2
+        lo, hi = np.array(bounds).T
+        options = _NM_OPTIONS | {"maxfev": 300, "maxiter": 300}
+        for seed in range(40):
+            self.compare(plateau, np.random.default_rng(seed).uniform(lo, hi), bounds, options)
+
+    def test_nan_costs(self):
+        # NaN costs sort last, as np.argsort puts them
+        bounds = SINGLE_QUBIT_BOUNDS * 2
+        lo, hi = np.array(bounds).T
+        cost = _closed_form_cost(named_gate("H"), 2)
+        holed = lambda x: math.nan if x[1] > 3.0 else cost(x)
+        for seed in range(10):
+            self.compare(holed, np.random.default_rng(seed).uniform(lo, hi), bounds, _NM_OPTIONS)
 
     @pytest.mark.parametrize("max_evals", [5, 37, 120])
     def test_cnot_cost(self, max_evals):
