@@ -31,8 +31,6 @@ from .model import (
     invariant_path,
 )
 from .propagation import (
-    EigenvalueCrossingError,
-    NonAbelianDegeneracyError,
     PhaseRecord,
     eigenframe_propagator,
     loop_params,

@@ -19,6 +19,7 @@ from .linalg import (
     ValidationError,
     _integer,
     _number,
+    _ordered_product,
     named_gate,
     pauli_basis,
     pauli_labels,
@@ -261,16 +262,6 @@ def _plain_unitary(obj):
     return np.asarray(obj, dtype=complex)
 
 
-def _chain(steps: np.ndarray) -> np.ndarray:
-    """Ordered product along axis 1 of an (n, m, 4, 4) stack of transfer
-    matrices, the first step acting first (leftmost, as rows are inputs)."""
-    while steps.shape[1] > 1:
-        half = steps.shape[1] // 2
-        head = steps[:, 0 : 2 * half : 2] @ steps[:, 1 : 2 * half : 2]
-        steps = np.concatenate([head, steps[:, 2 * half :]], axis=1)
-    return steps[:, 0]
-
-
 def rb_run(
     target=None,
     target_ideal=None,
@@ -325,8 +316,9 @@ def rb_run(
                 ).integers(0, len(CLIFFORD_1Q), size=m)
                 for si in range(n_sequences)
             ])
-            recovery = np.swapaxes(_chain(intended[draws]), 1, 2)
-            vals = (_chain(noisy[draws]) @ recovery @ dep_clifford)[:, z, z]
+            recovery = np.swapaxes(_ordered_product(intended[draws], first_on_left=True), 1, 2)
+            vals = (_ordered_product(noisy[draws], first_on_left=True)
+                    @ recovery @ dep_clifford)[:, z, z]
             means.append(float(vals.mean()))
             errs.append(float(vals.std(ddof=1) / np.sqrt(n_sequences)) if n_sequences > 1 else 0.0)
         fit, fit_err, ok = fit_decay(m_values, means)

@@ -134,6 +134,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify_di(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     seq = _load_sequence(args.input)
     report = []
     ok = True

@@ -28,9 +28,23 @@ def _integer(value, name: str) -> int:
 
 def _number(value, name: str) -> float:
     """`value` as a float; any finite real number but a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # a plain float skips the abstract-class check, which costs ~0.7 us
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not real or not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _ordered_product(factors: np.ndarray, *, first_on_left: bool) -> np.ndarray:
+    """Product of the matrices stacked along axis -3, by pairwise tree
+    reduction: f[0] f[1] ... f[-1] when `first_on_left`, else f[-1] ... f[0].
+    Leading axes are a batch."""
+    while factors.shape[-3] > 1:
+        m = factors.shape[-3] // 2
+        even, odd = factors[..., 0 : 2 * m : 2, :, :], factors[..., 1 : 2 * m : 2, :, :]
+        head = even @ odd if first_on_left else odd @ even
+        factors = np.concatenate([head, factors[..., 2 * m :, :, :]], axis=-3)
+    return factors[..., 0, :, :]
 
 
 PAULI_1Q = {

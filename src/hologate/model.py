@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import ValidationError, pauli_on
+from .linalg import ValidationError, _integer, _number, pauli_on
 
 TWO_PI = 2.0 * np.pi
 
@@ -36,28 +35,45 @@ CYCLIC_ATOL = 1e-8
 
 
 def _as_tuple(values, n: int, name: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in np.atleast_1d(values))
-    if len(out) != n:
-        raise ValidationError(f"{name} must have length {n}, got {len(out)}")
-    if not all(math.isfinite(v) for v in out):
-        raise ValidationError(f"{name} must be finite, got {out}")
-    return out
+    """n finite numbers (a bare number when n = 1) as a tuple of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        values = [values]
+    if len(values) != n:
+        raise ValidationError(f"{name} must hold {n} numbers, got {values!r}")
+    return tuple([_number(v, name) for v in values])
+
+
+def _pair(key) -> tuple[int, int]:
+    """A coupling key, (i, j) or "i,j", as two ints."""
+    parts = key.split(",") if isinstance(key, str) else key
+    try:
+        i, j = (int(part) if isinstance(part, str) else _integer(part, "wire")
+                for part in parts)
+    except (TypeError, ValueError):  # not a pair, or not integers
+        raise ValidationError(f"coupling key {key!r} must be a pair of wires") from None
+    return i, j
 
 
 def _normalize_couplings(couplings, n: int) -> dict[tuple[int, int], float]:
+    if couplings is None:
+        couplings = {}
+    if not isinstance(couplings, Mapping):
+        raise ValidationError(f"couplings must map wire pairs to numbers, got {couplings!r}")
     out: dict[tuple[int, int], float] = {}
-    for key, value in dict(couplings or {}).items():
-        if isinstance(key, str):
-            i, j = (int(part) for part in key.split(","))
-        else:
-            i, j = (int(part) for part in key)
+    for key, value in couplings.items():
+        i, j = _pair(key)
         if not (0 <= i < j < n):
             raise ValidationError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError(f"coupling {(i, j)} must be finite, got {value}")
-        out[(i, j)] = value
+        out[(i, j)] = _number(value, f"coupling {(i, j)}")
     return dict(sorted(out.items()))
+
+
+#: Fields of a segment document; every one but `couplings` is required.
+_SEGMENT_FIELDS = {"couplings", "detuning", "duration", "omega_drive", "omega_rot", "phase"}
+#: Fields of a sequence document; `unit` is optional.
+_SEQUENCE_FIELDS = {"n", "segments", "unit"}
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,7 @@ class PulseParams:
     duration: float = TWO_PI
 
     def __post_init__(self):
-        n = int(self.n)
+        n = _integer(self.n, "n")
         if not 1 <= n <= 3:
             raise ValidationError(f"qubit count must be 1..3, got {n}")
         object.__setattr__(self, "n", n)
@@ -88,11 +104,11 @@ class PulseParams:
         object.__setattr__(self, "phase", tuple(p % TWO_PI for p in _as_tuple(self.phase, n, "phase")))
         object.__setattr__(self, "detuning", _as_tuple(self.detuning, n, "detuning"))
         object.__setattr__(self, "couplings", _normalize_couplings(self.couplings, n))
-        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "duration", _number(self.duration, "duration"))
         if any(om < 0 for om in self.omega_drive):
             raise ValidationError("drive amplitudes must be nonnegative")
-        if not 0 < self.duration < math.inf:
-            raise ValidationError(f"duration must be positive and finite, got {self.duration}")
+        if not self.duration > 0:
+            raise ValidationError(f"duration must be positive, got {self.duration}")
 
     @property
     def dim(self) -> int:
@@ -140,16 +156,17 @@ class PulseParams:
 
     @classmethod
     def from_dict(cls, doc: Mapping, n: int | None = None) -> "PulseParams":
-        n = int(n if n is not None else len(doc["omega_drive"]))
-        return cls(
-            n=n,
-            omega_drive=doc["omega_drive"],
-            omega_rot=doc["omega_rot"],
-            phase=doc["phase"],
-            detuning=doc["detuning"],
-            couplings=doc.get("couplings", {}),
-            duration=doc["duration"],
-        )
+        """Segment from its JSON document (`to_dict`); every field is checked,
+        and an unknown or missing one (but `couplings`) is refused. `n`
+        defaults to the length of `omega_drive`."""
+        if not (isinstance(doc, Mapping)
+                and _SEGMENT_FIELDS - {"couplings"} <= set(doc) <= _SEGMENT_FIELDS):
+            raise ValidationError(
+                f"a segment is a JSON object with fields {sorted(_SEGMENT_FIELDS)}"
+                " (couplings optional)")
+        if n is None:
+            n = len(doc["omega_drive"]) if isinstance(doc["omega_drive"], (list, tuple)) else 1
+        return cls(n=n, **doc)
 
 
 @dataclass(frozen=True)
@@ -193,10 +210,16 @@ class LoopSequence:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "LoopSequence":
+        """Sequence from its JSON document (`to_dict`); every field is
+        checked, and an unknown or missing one (but `unit`) is refused."""
+        if not (isinstance(doc, Mapping) and {"n", "segments"} <= set(doc) <= _SEQUENCE_FIELDS
+                and isinstance(doc["segments"], (list, tuple))):
+            raise ValidationError('a sequence is a JSON object {"n": ..., "unit": ..., '
+                                  '"segments": [...]} (unit optional)')
         unit = doc.get("unit", "absolute")
         if unit not in ("J", "absolute"):
             raise ValidationError(f"unit must be 'J' or 'absolute', got {unit!r}")
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         return cls(tuple(PulseParams.from_dict(seg, n=n) for seg in doc["segments"]))
 
     def dumps(self, unit: str = "absolute") -> str:
@@ -275,14 +298,9 @@ def frame_frequencies(p: PulseParams) -> np.ndarray:
     return np.array(p.omega_rot) @ _SZ_DIAGONALS[p.n]
 
 
-def invariant_from_hamiltonian(p: PulseParams, h_path: np.ndarray) -> np.ndarray:
-    """I(t) = 2 H(t) - sum_i w_i sz_i from H(t) already sampled on a grid."""
-    return 2.0 * h_path - np.diag(frame_frequencies(p))
-
-
 def invariant_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
     """I(t) = 2 H(t) - sum_i w_i sz_i stacked over a time grid."""
-    return invariant_from_hamiltonian(p, hamiltonian_path(p, times))
+    return 2.0 * hamiltonian_path(p, times) - np.diag(frame_frequencies(p))
 
 
 def _require_time(p: PulseParams, t: float) -> float:
@@ -310,10 +328,9 @@ def di_residual(p: PulseParams, t: float, dt: float) -> float:
     For the closed-form pair the exact residual is zero; the returned value
     is the O(dt^2) discretization error of the derivative.
     """
-    t = float(t)
-    dt = float(dt)
+    t, dt = _number(t, "t"), _number(dt, "dt")
     if dt <= 0:
-        raise ValidationError("dt must be positive")
+        raise ValidationError(f"dt must be positive, got {dt}")
     if t - dt < 0.0 or t + dt > p.duration:
         raise ValidationError("central difference leaves the segment interval")
     stencil = invariant_path(p, np.array([t - dt, t, t + dt]))

@@ -1,5 +1,5 @@
-"""Closed-form propagation, the geometric/dynamical phase split, and two
-independent references.
+"""Closed-form propagation, the geometric/dynamical phase split, and an
+independent integration oracle.
 
 With R(t) = exp(-i t Z / 2) and Z = sum_i w_i sz_i, H(t) = R(t) H(0) R(t)^dag
 and I(t) = 2 R(t) H_eff R(t)^dag with H_eff = H(0) - Z / 2 (Lewis & Riesenfeld,
@@ -8,9 +8,10 @@ eigenframe is R(t)|u_n> with H_eff |u_n> = e_n |u_n>, and over a cyclic
 segment gd_n = -tau <u_n|H(0)|u_n> and gg_n = (tau / 2) <u_n|Z|u_n> +
 arg <u_n|R(tau)|u_n> (the Aharonov-Anandan phase): one small `eigh` each.
 
-The references use none of that: `ode_propagator` integrates the lab-frame
-H(t) with a fourth-order commutator-free Magnus scheme, and `build_eigenframe`
-samples and parallel-transports the invariant eigenframe on a time grid.
+The oracle uses none of that: `ode_propagator` integrates the lab-frame H(t)
+with a fourth-order commutator-free Magnus scheme. A second reference, the
+invariant eigenframe sampled and parallel-transported on a time grid, lives
+with the tests (`tests/reference.py`).
 """
 from __future__ import annotations
 
@@ -19,67 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError
+from .linalg import ValidationError, _ordered_product
 from .model import (
     TWO_PI,
     LoopSequence,
     PulseParams,
     frame_frequencies,
     hamiltonian_path,
-    invariant_from_hamiltonian,
 )
 
-#: Grid points per drive period used by default for the sampled eigenframe.
-DEFAULT_FRAME_POINTS = 8192
 #: Default integration-oracle steps per started drive period ...
 ODE_STEPS_PER_PERIOD = 256
 #: ... and per unit of tau * ||H||, with ||H|| bounded by
 #: sum |W_i| / 2 + sum |D_i| / 2 + sum |J_ij| / 4; the larger count is used.
 ODE_STEPS_PER_ACTION = 16
-#: Resolution floor: the eigenframe grid must carry at least this many
-#: samples per drive period.
-MIN_POINTS_PER_PERIOD = 256
 #: Relative gap below which invariant (or H_eff) eigenvalues are degenerate.
 DEGENERACY_RTOL = 1e-7
-
-
-class EigenvalueCrossingError(RuntimeError):
-    """Adjacent grid samples cannot be matched; refine the time grid."""
-
-
-class NonAbelianDegeneracyError(ValidationError):
-    """Degenerate invariant subspace with non-commuting dynamics.
-
-    Such segments carry a non-Abelian holonomy and are rejected.
-    """
-
-
-@dataclass(frozen=True)
-class EigenFrame:
-    """Gauge-fixed invariant eigenframe sampled on a time grid.
-
-    `values` holds the d constant eigenvalues (ascending); `vectors` has
-    shape (n_t + 1, d, d) with eigenvectors as columns, phase-fixed so that
-    successive per-column overlaps are real and positive.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def min_step_overlap(self) -> float:
-        """Smallest |<v_k(t_j)|v_k(t_{j+1})>| over the grid."""
-        c = np.einsum("tik,tik->tk", self.vectors[:-1].conj(), self.vectors[1:])
-        return float(np.abs(c).min())
-
-    def closure_defect(self) -> float:
-        """How far the eigenspace spans at tau are from the spans at 0."""
-        worst = 0.0
-        for g in _degenerate_groups(self.values):
-            p0 = self.vectors[0][:, g] @ self.vectors[0][:, g].conj().T
-            p1 = self.vectors[-1][:, g] @ self.vectors[-1][:, g].conj().T
-            worst = max(worst, float(np.linalg.norm(p0 - p1)))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -109,22 +65,6 @@ def _grid_size(p: PulseParams, per_period: int) -> int:
     return int(np.ceil(max(p.period_count(), 1.0))) * per_period
 
 
-def _resolve_grid(p: PulseParams, n_t: int | None) -> int:
-    periods = p.period_count()
-    if n_t is None:
-        return _grid_size(p, DEFAULT_FRAME_POINTS)
-    n_t = int(n_t)
-    if periods > 0 and n_t < MIN_POINTS_PER_PERIOD * periods:
-        raise ValidationError(
-            f"grid too coarse: need at least {MIN_POINTS_PER_PERIOD} points per "
-            f"drive period ({periods:.2f} periods -> "
-            f"{int(np.ceil(MIN_POINTS_PER_PERIOD * periods))} points), got {n_t}"
-        )
-    if n_t < 16:
-        raise ValidationError("grid must have at least 16 steps")
-    return n_t
-
-
 def _degenerate_groups(values: np.ndarray) -> list[slice]:
     scale = max(float(np.abs(values).max()), 1.0)
     groups: list[slice] = []
@@ -134,102 +74,6 @@ def _degenerate_groups(values: np.ndarray) -> list[slice]:
             groups.append(slice(start, k))
             start = k
     return groups
-
-
-def _transport(values: np.ndarray, vectors: np.ndarray, h_path: np.ndarray) -> np.ndarray:
-    """Gauge-fix raw eigenvectors along the grid.
-
-    Nondegenerate spectra use a vectorized cumulative phase fix. Degenerate
-    groups are aligned block-by-block with an orthogonal-Procrustes rotation,
-    after rotating the initial block basis to diagonalize the Hamiltonian
-    block (the Abelian representative basis).
-    """
-    groups = _degenerate_groups(values)
-    if all(g.stop - g.start == 1 for g in groups):
-        c = np.einsum("tik,tik->tk", vectors[:-1].conj(), vectors[1:])
-        if np.abs(c).min() < 0.5:
-            raise EigenvalueCrossingError(
-                "eigenvector ordering swapped between adjacent samples; "
-                "increase the grid size"
-            )
-        # a running product of unit phases, not a sum of angles: the summed
-        # gauge angles grow with the grid and lose digits
-        fix = np.cumprod(np.abs(c) / c, axis=0)
-        return vectors * np.concatenate([np.ones((1, values.size)), fix])[:, None, :]
-
-    out = vectors.copy()
-    for g in groups:
-        if g.stop - g.start > 1:
-            blk = out[0][:, g]
-            hblk = blk.conj().T @ h_path[0] @ blk
-            _, rot = np.linalg.eigh(hblk)
-            out[0][:, g] = blk @ rot
-    for j in range(1, out.shape[0]):
-        for g in groups:
-            ov = out[j - 1][:, g].conj().T @ out[j][:, g]
-            if g.stop - g.start == 1:
-                mag = abs(ov[0, 0])
-                if mag < 0.5:
-                    raise EigenvalueCrossingError(
-                        "eigenvector ordering swapped between adjacent samples; "
-                        "increase the grid size"
-                    )
-                out[j][:, g] *= ov[0, 0].conj() / mag
-            else:
-                u, s, vh = np.linalg.svd(ov)
-                if s.min() < 0.5:
-                    raise EigenvalueCrossingError(
-                        "degenerate subspace lost between adjacent samples; "
-                        "increase the grid size"
-                    )
-                out[j][:, g] = out[j][:, g] @ (u @ vh).conj().T
-    _require_abelian(values, out, h_path, groups)
-    return out
-
-
-def _require_abelian(values, vectors, h_path, groups, tol: float = 1e-6) -> None:
-    """Reject degenerate blocks in which H couples transported members."""
-    scale = max(float(np.abs(values).max()), 1.0)
-    idx = np.linspace(0, vectors.shape[0] - 1, 17).astype(int)
-    for g in groups:
-        width = g.stop - g.start
-        if width == 1:
-            continue
-        blk = np.einsum(
-            "tia,tij,tjb->tab",
-            vectors[idx][:, :, g].conj(),
-            h_path[idx],
-            vectors[idx][:, :, g],
-        )
-        off = blk.copy()
-        off[:, np.arange(width), np.arange(width)] = 0.0
-        if np.abs(off).max() > tol * scale:
-            raise NonAbelianDegeneracyError(
-                "degenerate invariant eigenvalues with non-commuting dynamics; "
-                "segment rejected (non-Abelian holonomy unsupported)"
-            )
-
-
-def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
-    """Invariant eigenframe on a uniform grid over [0, duration].
-
-    A sampled reference for the closed form: eigenvectors are gauge-fixed by
-    positive-real successive overlaps (discrete parallel transport), so
-    arg <v_n(0)|v_n(tau)> is the discrete Berry holonomy; degenerate blocks
-    are aligned by subspace projection. Raises `EigenvalueCrossingError` when
-    adjacent samples cannot be matched (the caller should refine the grid).
-    """
-    n_t = _resolve_grid(p, n_t)
-    times = np.linspace(0.0, p.duration, n_t + 1)
-    h_path = hamiltonian_path(p, times)
-    vals, vecs = np.linalg.eigh(invariant_from_hamiltonian(p, h_path))
-    scale = max(float(np.abs(vals[0]).max()), 1.0)
-    if np.abs(vals - vals[0]).max() > 1e-6 * scale:
-        raise EigenvalueCrossingError(
-            "invariant spectrum drifts along the grid; increase the grid size"
-        )
-    vecs = _transport(vals[0], vecs, h_path)
-    return EigenFrame(times=times, values=vals[0], vectors=vecs)
 
 
 def _stacks(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,6 +132,10 @@ def sequence_evolution(seq: LoopSequence) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain(us: np.ndarray) -> np.ndarray:
     """us[-1] ... us[1] us[0]: the first factor acts first."""
+    # sequential, not `_ordered_product`'s tree: this is the two-qubit
+    # search's hot path, and for its 1 to 5 loops the tree's slicing costs
+    # more than it saves (5 loops of 4x4: 17 us against 28 us as a tree;
+    # 3 loops: 7.5 against 17 us; x86_64, 2 CPUs, numpy 2.4)
     u = us[0]
     for step in us[1:]:
         u = step @ u
@@ -314,19 +162,6 @@ def phases(p: PulseParams) -> PhaseRecord:
         gamma_geometric=tuple(float(g) for g in gg),
         gamma_dynamical=tuple(float(g) for g in gd),
     )
-
-
-def _ordered_product(factors: np.ndarray) -> np.ndarray:
-    # pairwise tree reduction; factors[k] acts at step k (earliest first)
-    while factors.shape[0] > 1:
-        m = factors.shape[0] // 2
-        head = np.matmul(factors[1 : 2 * m : 2], factors[0 : 2 * m : 2])
-        factors = (
-            np.concatenate([head, factors[2 * m :]])
-            if factors.shape[0] % 2
-            else head
-        )
-    return factors[0]
 
 
 #: Gauss nodes c and weights a1, a2 of the two-exponential fourth-order
@@ -367,7 +202,7 @@ def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     gen = np.stack([_CF4_A1 * h1 + _CF4_A2 * h2, _CF4_A2 * h1 + _CF4_A1 * h2], axis=1)
     vals, vecs = np.linalg.eigh(gen.reshape(2 * n_t, p.dim, p.dim))
     factors = np.einsum("tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj())
-    return _ordered_product(factors)
+    return _ordered_product(factors, first_on_left=False)
 
 
 def sequence_propagator(seq: LoopSequence) -> np.ndarray:

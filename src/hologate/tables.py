@@ -17,10 +17,12 @@ J = 2 in table units. Handedness is immaterial for the two-qubit checks
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .model import TWO_PI, LoopSequence, PulseParams
-from .propagation import zero_dynamical_phase_amplitude
+from .model import LoopSequence, PulseParams
+from .synthesis import single_qubit_sequence_from_vector, two_qubit_sequence_from_vector
 
 #: Two-loop single-qubit gates: gate name -> ((w/D, phase), (w/D, phase)).
 SINGLE_QUBIT_LOOPS = {
@@ -59,51 +61,30 @@ CNOT_ROWS = (
 )
 
 
-def single_qubit_loop(ratio: float, phase: float, mirror: bool = True) -> PulseParams:
-    """One published-style loop with unit detuning magnitude and amplitude
-    pinned by the zero-dynamical-phase condition. `mirror` applies the
-    handedness transform the published listings assume."""
-    sign = -1.0 if mirror else 1.0
-    omega = sign * ratio
-    det = sign * 1.0
-    return PulseParams(
-        n=1,
-        omega_drive=(zero_dynamical_phase_amplitude(omega, det),),
-        omega_rot=(omega,),
-        phase=(np.pi - phase if mirror else phase,),
-        detuning=(det,),
-        duration=TWO_PI / ratio,
-    )
+def _mirrored(seq: LoopSequence) -> LoopSequence:
+    """The handedness transform (w, D, f) -> (-w, -D, pi - f) the published
+    single-qubit listings assume, applied to every loop. It leaves
+    D (w - D), and so the zero-dynamical-phase drive amplitude, unchanged."""
+    return LoopSequence(tuple(
+        dataclasses.replace(seg, omega_rot=(-seg.omega_rot[0],), detuning=(-seg.detuning[0],),
+                            phase=(np.pi - seg.phase[0],))
+        for seg in seq
+    ))
 
 
 def single_qubit_sequence(gate: str) -> LoopSequence:
-    loops = SINGLE_QUBIT_LOOPS[gate]
-    return LoopSequence(tuple(single_qubit_loop(r, f) for r, f in loops))
+    return _mirrored(single_qubit_sequence_from_vector(np.ravel(SINGLE_QUBIT_LOOPS[gate])))
 
 
 def fast_phase_sequence() -> LoopSequence:
     # this row was published un-mirrored and with its loops listed in
     # reverse application order
-    loops = [single_qubit_loop(r, f, mirror=False) for r, f in reversed(FAST_PHASE_LOOPS)]
-    return LoopSequence(tuple(loops))
-
-
-def two_qubit_pulse(row, coupling: float = TWO_QUBIT_TABLE_COUPLING) -> PulseParams:
-    o1, o2, w, f1, f2, d1, d2 = row
-    return PulseParams(
-        n=2,
-        omega_drive=(o1, o2),
-        omega_rot=(w, w),
-        phase=(f1, f2),
-        detuning=(d1, d2),
-        couplings={(0, 1): coupling},
-        duration=TWO_PI / w,
-    )
+    return single_qubit_sequence_from_vector(np.ravel(FAST_PHASE_LOOPS[::-1]))
 
 
 def cnot_sequence(coupling: float = TWO_QUBIT_TABLE_COUPLING) -> LoopSequence:
-    return LoopSequence(tuple(two_qubit_pulse(row, coupling) for row in CNOT_ROWS))
+    return two_qubit_sequence_from_vector(np.ravel(CNOT_ROWS), coupling)
 
 
 def entangler_params(coupling: float = TWO_QUBIT_TABLE_COUPLING) -> PulseParams:
-    return two_qubit_pulse(ENTANGLER_ROW, coupling)
+    return two_qubit_sequence_from_vector(ENTANGLER_ROW, coupling).segments[0]

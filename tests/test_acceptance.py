@@ -32,9 +32,9 @@ from hologate import (
 )
 from hologate import tables
 from hologate.cli import main as cli_main
-from hologate.propagation import build_eigenframe
 from hologate.synthesis import correlation_singular_values, gate_length
 from conftest import assemble_invariant, random_cyclic_params
+from reference import build_eigenframe
 
 N_DRAWS = 100
 

@@ -39,30 +39,41 @@ class TestTablesCommand:
         assert run_cli(["tables", "--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-def test_no_command_builds_an_eigenframe(x_sequence_file, tmp_path, monkeypatch):
-    # the sampled eigenframe is a test reference; every command propagates
-    # in closed form
-    def refuse(*args, **kwargs):
-        raise AssertionError("build_eigenframe called")
+def test_library_holds_no_grid_reference():
+    # the sampled eigenframe is a test reference (tests/reference.py); the
+    # library propagates in closed form and never imports from the tests
+    import ast
+    from pathlib import Path
 
-    monkeypatch.setattr(propagation, "build_eigenframe", refuse)
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({"target": "X", "n_loops": 2, "seed": 1, "restarts": 2}))
-    out = tmp_path / "out.json"
-    for argv in (
-        ["tables"],
-        ["gate", "--input", x_sequence_file, "--target", "X"],
-        ["phases", "--input", x_sequence_file],
-        ["qpt", "--input", x_sequence_file, "--target", "X"],
-        ["rb", "--input", x_sequence_file, "--target", "X", "--m-values", "2,4",
-         "--n-seq", "2"],
-        ["synth", "--input", problem],
-        ["entangle", "--restarts", "1", "--max-evals", "20"],
-    ):
-        assert run_cli([*argv, "--output", out]) == 0, argv
+    import hologate
+    from hologate import model
+
+    moved = ("EigenFrame", "build_eigenframe", "_transport", "_require_abelian",
+             "_resolve_grid", "DEFAULT_FRAME_POINTS", "MIN_POINTS_PER_PERIOD",
+             "EigenvalueCrossingError", "NonAbelianDegeneracyError",
+             "invariant_from_hamiltonian")
+    for module in (hologate, propagation, model):
+        assert not [name for name in moved if hasattr(module, name)], module.__name__
+    for path in Path(hologate.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            assert not top & {"tests", "reference", "conftest"}, path
 
 
 class TestVerifyDi:
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-1"), ("--dt", "nan"), ("--dt", "0"),
+    ])
+    def test_bad_option_value(self, flag, value, x_sequence_file, capsys):
+        assert run_cli(["verify-di", "--input", x_sequence_file, flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_pass(self, x_sequence_file, tmp_path, capsys):
         code = run_cli(["verify-di", "--input", x_sequence_file,
                         "--output", tmp_path / "di.json"])
@@ -210,6 +221,27 @@ class TestRbCommand:
         assert doc["gate_fidelity"] >= 0.999
 
 
+#: Edits of a sequence document (and its first segment) that every command
+#: reading one must refuse with exit 2; an edit returning a value replaces
+#: the document. The coupling cases edit the CNOT table, the others X.
+MALFORMED_SEQUENCES = {
+    "n-string": lambda d, s: d.update(n="abc"),
+    "n-fraction": lambda d, s: d.update(n=1.9),
+    "n-bool": lambda d, s: d.update(n=True),
+    "n-missing": lambda d, s: d.__delitem__("n"),
+    "segments-number": lambda d, s: d.update(segments=5),
+    "document-list": lambda d, s: [d],
+    "segment-list": lambda d, s: d.update(segments=[list(s.values())]),
+    "omega_drive-string": lambda d, s: s.update(omega_drive=["abc"]),
+    "duration-string": lambda d, s: s.update(duration="x"),
+    "duration-null": lambda d, s: s.update(duration=None),
+    "coupling-key": lambda d, s: s.update(couplings={"0,x": 2.0}),
+    "coupling-list": lambda d, s: s.update(couplings=[2.0]),
+    "unknown-field": lambda d, s: d.update(grid=1024),
+    "unknown-segment-field": lambda d, s: s.update(n_t=1024),
+}
+
+
 class TestErrorHandling:
     def test_missing_input_file(self):
         assert run_cli(["phases", "--input", "/nonexistent/seq.json"]) == 2
@@ -235,6 +267,20 @@ class TestErrorHandling:
         path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
         assert run_cli([command, "--input", path]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["gate"], ["phases"], ["qpt", "--target", "X"],
+        ["rb", "--m-values", "2", "--n-seq", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SEQUENCES))
+    def test_malformed_sequence_file(self, command, case, tmp_path, capsys):
+        two_qubit = case.startswith("coupling")
+        doc = (tables.cnot_sequence() if two_qubit else tables.single_qubit_sequence("X")).to_dict()
+        doc = MALFORMED_SEQUENCES[case](doc, doc["segments"][0]) or doc
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([command[0], "--input", path, *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_gate_name_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from hologate import (
     unitary_exp,
     unitary_fidelity,
 )
-from hologate.linalg import PAULI_1Q, pauli_labels
+from hologate.linalg import PAULI_1Q, _ordered_product, pauli_labels
 
 SX, SY, SZ = PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]
 
@@ -144,3 +144,18 @@ def test_named_gates():
     np.testing.assert_allclose(named_gate("T") @ named_gate("T"), named_gate("P"), atol=1e-15)
     with pytest.raises(ValidationError):
         named_gate("SWAP")
+
+
+@pytest.mark.parametrize("first_on_left", [True, False])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_ordered_product_is_the_sequential_product(first_on_left, batch, rng):
+    for count in range(1, 10):
+        shape = (*batch, count, 4, 4)
+        factors = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        expected = factors[..., 0, :, :]
+        for k in range(1, count):
+            step = factors[..., k, :, :]
+            expected = expected @ step if first_on_left else step @ expected
+        out = _ordered_product(factors, first_on_left=first_on_left)
+        assert out.shape == (*batch, 4, 4)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)

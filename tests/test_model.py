@@ -11,6 +11,7 @@ from hologate import (
     hamiltonian,
     invariant,
 )
+from hologate import tables
 from hologate.linalg import PAULI_1Q, kron, pauli_on
 from hologate.model import frame_frequencies
 from conftest import assemble_hamiltonian, assemble_invariant, random_cyclic_params
@@ -219,6 +220,17 @@ class TestPulseParams:
         with pytest.raises(ValidationError, match="finite"):
             PulseParams(**(doc | {field: value}))
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 1.9), ("n", True), ("n", "1"), ("duration", "x"), ("duration", None),
+        ("omega_drive", ("abc",)), ("phase", (True,)), ("detuning", [[1.0]]),
+        ("couplings", [1.0]),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        doc = dict(n=1, omega_drive=(1.0,), omega_rot=(2.0,), phase=(0.0,),
+                   detuning=(1.0,), duration=np.pi)
+        with pytest.raises(ValidationError, match=field.rstrip("s")):
+            PulseParams(**(doc | {field: value}))
+
     def test_coupling_key_validation(self):
         with pytest.raises(ValidationError):
             PulseParams(n=2, omega_drive=(1.0, 1.0), omega_rot=(2.0, 2.0),
@@ -269,3 +281,17 @@ class TestLoopSequence:
             seq.to_dict(unit="Hz")
         with pytest.raises(ValidationError):
             LoopSequence.from_dict({"n": 1, "unit": "Hz", "segments": []})
+
+    def test_round_trip_of_tables_and_random_sequences(self):
+        rng = np.random.default_rng(5)
+        seqs = [tables.single_qubit_sequence(g) for g in tables.SINGLE_QUBIT_LOOPS]
+        seqs += [tables.fast_phase_sequence(), tables.cnot_sequence(),
+                 LoopSequence((tables.entangler_params(),))]
+        seqs += [LoopSequence(tuple(random_cyclic_params(rng, 1 + k % 2)
+                                    for _ in range(1 + k % 4))) for k in range(20)]
+        for seq in seqs:
+            for unit in ("absolute", "J"):
+                text = seq.dumps(unit=unit)
+                again = LoopSequence.loads(text)
+                assert again == seq
+                assert again.dumps(unit=unit) == text

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from hologate import (
-    EigenvalueCrossingError,
     LoopSequence,
-    NonAbelianDegeneracyError,
     PulseParams,
     ValidationError,
     eigenframe_propagator,
@@ -24,19 +22,23 @@ from hologate import (
 from hologate.linalg import PAULI_1Q
 from hologate.model import frame_frequencies, hamiltonian_path
 from hologate.propagation import (
-    DEFAULT_FRAME_POINTS,
     ODE_STEPS_PER_PERIOD,
     _evolve,
     _loop_quaternion,
     _ode_steps,
-    _require_abelian,
     _stacks,
-    _transport,
-    build_eigenframe,
     segment_evolution,
 )
 from hologate.synthesis import TWO_QUBIT_BOUNDS, two_qubit_sequence_from_vector
 from conftest import random_cyclic_params
+from reference import (
+    DEFAULT_FRAME_POINTS,
+    EigenvalueCrossingError,
+    NonAbelianDegeneracyError,
+    _require_abelian,
+    _transport,
+    build_eigenframe,
+)
 
 TWO_PI = 2.0 * np.pi
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
