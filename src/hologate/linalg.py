@@ -43,7 +43,9 @@ def _ordered_product(factors: np.ndarray, *, first_on_left: bool) -> np.ndarray:
         m = factors.shape[-3] // 2
         even, odd = factors[..., 0 : 2 * m : 2, :, :], factors[..., 1 : 2 * m : 2, :, :]
         head = even @ odd if first_on_left else odd @ even
-        factors = np.concatenate([head, factors[..., 2 * m :, :, :]], axis=-3)
+        if 2 * m < factors.shape[-3]:
+            head = np.concatenate([head, factors[..., 2 * m :, :, :]], axis=-3)
+        factors = head
     return factors[..., 0, :, :]
 
 

@@ -72,7 +72,8 @@ def _normalize_couplings(couplings, n: int) -> dict[tuple[int, int], float]:
 
 #: Fields of a segment document; every one but `couplings` is required.
 _SEGMENT_FIELDS = {"couplings", "detuning", "duration", "omega_drive", "omega_rot", "phase"}
-#: Fields of a sequence document; `unit` is optional.
+#: Fields of a sequence document; `unit`, which only older files carry, is
+#: optional.
 _SEQUENCE_FIELDS = {"n", "segments", "unit"}
 
 
@@ -199,31 +200,25 @@ class LoopSequence:
     def __iter__(self):
         return iter(self.segments)
 
-    def to_dict(self, unit: str = "absolute") -> dict:
-        if unit not in ("J", "absolute"):
-            raise ValidationError(f"unit must be 'J' or 'absolute', got {unit!r}")
-        return {
-            "n": self.n,
-            "unit": unit,
-            "segments": [seg.to_dict() for seg in self.segments],
-        }
+    def to_dict(self) -> dict:
+        return {"n": self.n, "segments": [seg.to_dict() for seg in self.segments]}
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "LoopSequence":
         """Sequence from its JSON document (`to_dict`); every field is
-        checked, and an unknown or missing one (but `unit`) is refused."""
+        checked, and an unknown or missing one is refused. Files written
+        with the former `"unit": "absolute"` key still load; `"unit": "J"`
+        is refused, since those numbers were never scaled by a coupling."""
         if not (isinstance(doc, Mapping) and {"n", "segments"} <= set(doc) <= _SEQUENCE_FIELDS
                 and isinstance(doc["segments"], (list, tuple))):
-            raise ValidationError('a sequence is a JSON object {"n": ..., "unit": ..., '
-                                  '"segments": [...]} (unit optional)')
-        unit = doc.get("unit", "absolute")
-        if unit not in ("J", "absolute"):
-            raise ValidationError(f"unit must be 'J' or 'absolute', got {unit!r}")
+            raise ValidationError('a sequence is a JSON object {"n": ..., "segments": [...]}')
+        if doc.get("unit", "absolute") != "absolute":
+            raise ValidationError(f"unit must be 'absolute', got {doc['unit']!r}")
         n = _integer(doc["n"], "n")
         return cls(tuple(PulseParams.from_dict(seg, n=n) for seg in doc["segments"]))
 
-    def dumps(self, unit: str = "absolute") -> str:
-        return json.dumps(self.to_dict(unit=unit), indent=2, sort_keys=True)
+    def dumps(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def loads(cls, text: str) -> "LoopSequence":

@@ -206,7 +206,7 @@ class SynthesisResult:
     restarts: int = 0
     seed: int = 0
 
-    def to_dict(self, unit: str = "absolute") -> dict:
+    def to_dict(self) -> dict:
         return {
             "fidelity": self.fidelity,
             "max_abs_dynamical_phase": self.max_abs_dynamical_phase,
@@ -215,7 +215,7 @@ class SynthesisResult:
             "entangling_score": self.entangling_score,
             "restarts": self.restarts,
             "seed": self.seed,
-            "sequence": self.sequence.to_dict(unit=unit),
+            "sequence": self.sequence.to_dict(),
         }
 
 

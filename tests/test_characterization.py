@@ -1,4 +1,8 @@
 import dataclasses
+import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from hologate import (
     rb_run,
     sequence_propagator,
     simulate_qpt,
+    unitary_exp,
 )
 from hologate import linalg, synthesis, tables
+from hologate.characterization import FLAT_SPAN, SLOWEST_RATE
 from hologate.linalg import PAULI_1Q, pauli_basis
 
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
@@ -188,10 +194,38 @@ class TestCliffordSet:
                 assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
 
 
+def _ssr(m, y, fit):
+    a, p, b = fit
+    return float(np.sum((np.asarray(y) - (a * p ** np.asarray(m, dtype=float) + b)) ** 2))
+
+
+@pytest.fixture(scope="module")
+def rb_records():
+    """Reference and interleaved records of 110 characterize-1q benchmark
+    specs (seed 11): each spec's gate over-rotated about x by its amplitude
+    error, with its noise strengths, m values and RB seed, at 4 sequences."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    records = []
+    for spec in workloads.build("characterize-1q", 11).specs[:110]:
+        name = spec.problem.target_name
+        u = named_gate(name) @ unitary_exp(SX, np.pi * spec.amplitude_error / 2)
+        run = rb_run(target=u, target_ideal=name, eps_clifford=spec.eps_clifford,
+                     eps_target=spec.eps_target, m_values=spec.m_values,
+                     n_sequences=4, seed=spec.rb_seed)
+        records += [run.reference, run.interleaved]
+    return records
+
+
 class TestFitDecay:
     def test_constant_data_short_circuit(self):
         fit, err, ok = fit_decay([2, 4, 8], [1.0, 1.0, 1.0])
         assert ok and fit == (0.0, 1.0, 1.0)
+        # a fall under FLAT_SPAN is no decay a fit can resolve
+        m = np.array([2, 4, 8, 16])
+        fit, err, ok = fit_decay(m, 1.0 - 0.9 * FLAT_SPAN * m / 16)
+        assert ok and fit[:2] == (0.0, 1.0) and err == (0.0, 0.0, 0.0)
 
     def test_exact_exponential_recovery(self):
         m = np.array([2, 4, 8, 16, 32, 64])
@@ -201,6 +235,74 @@ class TestFitDecay:
         assert fit[0] == pytest.approx(0.7, abs=1e-6)
         assert fit[1] == pytest.approx(0.97, abs=1e-8)
         assert fit[2] == pytest.approx(0.25, abs=1e-6)
+        assert all(math.isfinite(e) and e < 1e-9 for e in err)
+
+    @pytest.mark.parametrize("a,p,b", [(1.0, 0.999, 0.0), (-0.4, 0.9, 0.8), (0.5, 0.3, 0.1)])
+    def test_exact_data_converge_with_finite_errors(self, a, p, b):
+        m = np.array([1, 2, 4, 8, 16, 32, 64])
+        fit, err, ok = fit_decay(m, a * p ** m + b)
+        assert ok
+        np.testing.assert_allclose(fit, (a, p, b), rtol=0, atol=1e-7)
+        assert all(math.isfinite(e) and e < 1e-7 for e in err)
+
+    def test_three_points_fit_exactly_without_errors(self):
+        fit, err, ok = fit_decay([2, 4, 8], [0.9, 0.8, 0.65])
+        assert ok and err is None
+        assert _ssr([2, 4, 8], [0.9, 0.8, 0.65], fit) < 1e-24
+
+    @pytest.mark.parametrize("m", [[2, 4], [2, 2, 4, 4]])
+    def test_too_few_distinct_lengths(self, m):
+        assert fit_decay(m, np.linspace(0.9, 0.5, len(m))) == (None, None, False)
+
+    @pytest.mark.parametrize("y", [
+        [0.5384, 0.5736, 0.6344, 0.7176, 0.7304, 0.1416],  # concave: rises, then falls
+        [0.22, 0.24, 0.28, 0.36, 0.52, 0.84],  # rises along a line
+    ])
+    def test_data_that_do_not_decay_do_not_converge(self, y):
+        assert fit_decay([2, 4, 8, 16, 32, 64], y) == (None, None, False)
+
+    def test_fall_steepening_with_m_is_fitted_at_the_slowest_rate(self):
+        # what a coherent error gives: a monotone fall that no decay in
+        # (0, 1) fits better than the slowest one the search takes
+        m = np.array([2, 4, 8, 16, 32, 64])
+        fit, err, ok = fit_decay(m, 0.9 - 1e-4 * m ** 2)
+        assert ok and all(math.isfinite(e) for e in err)
+        assert fit[1] == pytest.approx(math.exp(-SLOWEST_RATE / 64), rel=1e-15)
+
+    def test_against_curve_fit_on_rb_records(self, rb_records):
+        from scipy.optimize import curve_fit  # the reference, not a dependency
+
+        compared = 0
+        for record in rb_records:
+            m, y = np.array(record.m_values, dtype=float), np.array(record.mean_fidelity)
+            fit, err, ok = fit_decay(m, y)
+            assert (fit, err, ok) == (record.fit, record.fit_stderr, record.converged)
+            if not ok:
+                # the best decay is at p -> 1 and the data rise somewhere:
+                # not a decay (A diverges), where curve_fit stops anywhere
+                assert fit is None and np.any(np.diff(y) > 0)
+                continue
+            assert all(math.isfinite(e) for e in err)
+            if fit[1] == pytest.approx(math.exp(-SLOWEST_RATE / m.max()), rel=1e-15):
+                # fitted at the slowest rate: curve_fit stops anywhere on the
+                # flat floor of the SSR towards p = 1, so p is not compared
+                assert np.all(np.diff(y) <= 0)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "covariance could not be estimated"
+                ref, ref_cov = curve_fit(lambda mm, a, p, b: a * p ** mm + b, m, y,
+                                         p0=(0.5, 0.99, 0.5), xtol=1e-12, ftol=1e-12,
+                                         maxfev=20000)
+            ssr, ref_ssr = _ssr(m, y, fit), _ssr(m, y, ref)
+            assert ssr <= ref_ssr * (1 + 1e-9) + 1e-28
+            assert abs(fit[1] - ref[1]) <= 1e-5
+            ref_err = np.sqrt(np.diag(ref_cov))
+            # sigma scales with sqrt(SSR): compared where curve_fit reached
+            # the same minimum
+            if np.all(np.isfinite(ref_err)) and ref_ssr <= ssr * (1 + 1e-9):
+                np.testing.assert_allclose(err, ref_err, rtol=1e-3)
+            compared += 1
+        assert compared >= 200
 
 
 class TestRb:

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from hologate import cli, model, propagation, synthesis, tables
 from hologate.cli import main
-from hologate import propagation, tables
+from hologate.linalg import pauli_on
 
 
 @pytest.fixture
@@ -86,6 +87,29 @@ class TestVerifyDi:
         doc = json.loads(report.read_text())
         assert all(seg["pass"] for seg in doc["segments"])
         assert all(seg["di_residual"] < 1e-8 for seg in doc["segments"])
+
+    def test_residual_bound_scales_with_the_invariant(self, tmp_path, capsys):
+        # ||I|| ~ 28 here: rounding in the central difference reaches ~1.6e-8,
+        # above an absolute 1e-8 but within 1e-8 ||I||
+        seq = synthesis.two_qubit_sequence_from_vector([10, 10, 10, 0.3, 1.1, 10, 10])
+        path = tmp_path / "strong.json"
+        path.write_text(seq.dumps())
+        report = tmp_path / "di.json"
+        assert run_cli(["verify-di", "--input", path, "--output", report]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert json.loads(report.read_text())["segments"][0]["pass"]
+
+    def test_broken_invariant_fails(self, x_sequence_file, monkeypatch, capsys):
+        exact = model.invariant_path
+
+        def broken(seg, times):
+            return exact(seg, times) + pauli_on(seg.n, 0, "X")
+
+        monkeypatch.setattr(model, "invariant_path", broken)  # read by di_residual
+        monkeypatch.setattr(cli, "invariant_path", broken)
+        assert run_cli(["verify-di", "--input", x_sequence_file]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  segment 0" in out and "PASS" not in out
 
 
 class TestPhasesCommand:
@@ -238,6 +262,7 @@ MALFORMED_SEQUENCES = {
     "coupling-key": lambda d, s: s.update(couplings={"0,x": 2.0}),
     "coupling-list": lambda d, s: s.update(couplings=[2.0]),
     "unknown-field": lambda d, s: d.update(grid=1024),
+    "unit-J": lambda d, s: d.update(unit="J"),
     "unknown-segment-field": lambda d, s: s.update(n_t=1024),
 }
 
@@ -362,10 +387,34 @@ class TestErrorHandling:
         assert "--m-values" in capsys.readouterr().err
 
 
-def test_commands_without_search_leave_scipy_unloaded(x_sequence_file, tmp_path):
-    # importing scipy.optimize costs about half a second and some 46 MB; only
-    # the rb decay fit needs it (the searches run the package's own simplex),
-    # so the package and these commands must not load any of scipy
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables"],
+    ["gate", "--input", "{x}", "--target", "X"],
+    ["phases", "--input", "{x}"],
+    ["qpt", "--gate", "X", "--noise-eps", "0.01"],
+    ["rb", "--gate", "X", "--noise-eps", "0.01"],
+    ["synth", "--input", "{problem}", "--restarts", "1"],
+    ["entangle", "--restarts", "1", "--max-evals", "20"],
+    ["verify-di", "--input", "{x}"],
+], ids=lambda argv: argv[0])
+def test_reports_are_strict_json(argv, x_sequence_file, tmp_path):
+    # Infinity and NaN are not JSON; an exact decay fit once reported an
+    # infinite standard error
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"target": "X", "n_loops": 2, "seed": 1, "restarts": 1}))
+    report = tmp_path / "report.json"
+    argv = [a.format(x=x_sequence_file, problem=problem) for a in argv]
+    assert run_cli(argv + ["--output", report]) == 0
+    json.loads(report.read_text(), parse_constant=_no_constant)
+
+
+def test_no_command_loads_scipy(x_sequence_file, tmp_path):
+    # importing scipy.optimize costs about half a second and some 46 MB, and
+    # scipy is not a dependency of the package: no command may load it
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({"target": "X", "n_loops": 2, "seed": 1, "restarts": 2}))
     script = f"""
@@ -373,7 +422,8 @@ import sys
 import hologate, hologate.cli
 for argv in (["gate", "--input", {str(x_sequence_file)!r}, "--target", "X"],
              ["phases", "--input", {str(x_sequence_file)!r}],
-             ["qpt", "--gate", "X"],
+             ["qpt", "--gate", "X", "--noise-eps", "0.01"],
+             ["rb", "--gate", "X", "--noise-eps", "0.01"],
              ["synth", "--input", {str(problem)!r}],
              ["entangle", "--restarts", "1", "--max-evals", "20"]):
     assert hologate.cli.main(argv + ["--output", {str(tmp_path / "out.json")!r}]) == 0
@@ -383,6 +433,17 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_sources_do_not_import_scipy():
+    from pathlib import Path
+
+    import hologate
+
+    sources = sorted(Path(hologate.__file__).parent.rglob("*.py"))
+    assert sources
+    assert [p.name for p in sources
+            if "import scipy" in p.read_text() or "from scipy" in p.read_text()] == []
 
 
 def test_module_entry_point(x_sequence_file):
