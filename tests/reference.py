@@ -1,4 +1,5 @@
-"""Sampled-grid reference for the closed-form invariant eigenframe.
+"""Test references: the sampled invariant eigenframe, and the ODE oracle's
+step exponentials by eigendecomposition.
 
 `build_eigenframe` samples I(t) = 2 H(t) - sum_i w_i sz_i on a uniform time
 grid, diagonalizes every sample and parallel-transports the eigenvectors
@@ -6,6 +7,11 @@ from sample to sample. The library never uses it: it propagates every
 segment in closed form (`hologate.propagation`), and the tests compare the
 two. The grid frame takes H(t), the frame frequencies and the grouping of
 degenerate levels from the library, and nothing of the closed form.
+
+`ode_propagator_eigh` is the fourth-order commutator-free Magnus scheme with
+every step exponential taken from a complex `eigh`: a second computation of
+the same product, which the tests hold the library's real-arithmetic
+`ode_propagator` to.
 """
 from __future__ import annotations
 
@@ -13,9 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hologate.linalg import ValidationError
+from hologate.linalg import ValidationError, _ordered_product
 from hologate.model import PulseParams, frame_frequencies, hamiltonian_path
-from hologate.propagation import _degenerate_groups, _grid_size
+from hologate.propagation import (
+    _CF4_A1,
+    _CF4_A2,
+    _CF4_NODES,
+    _degenerate_groups,
+    _grid_size,
+    _ode_steps,
+)
 
 #: Grid points per drive period used by default for the sampled eigenframe.
 DEFAULT_FRAME_POINTS = 8192
@@ -173,3 +186,18 @@ def build_eigenframe(p: PulseParams, n_t: int | None = None) -> EigenFrame:
         )
     vecs = _transport(vals[0], vecs, h_path)
     return EigenFrame(times=times, values=vals[0], vectors=vecs)
+
+
+def ode_propagator_eigh(p: PulseParams, n_t: int | None = None) -> np.ndarray:
+    """`hologate.ode_propagator` with complex arithmetic throughout: each
+    step exponential from one batched `eigh`, then the complex tree product."""
+    n_t = _ode_steps(p) if n_t is None else n_t
+    dt = p.duration / n_t
+    starts = np.arange(n_t) * dt
+    nodes = np.stack([starts + c * dt for c in _CF4_NODES], axis=1)
+    h = hamiltonian_path(p, nodes.ravel()).reshape(n_t, 2, p.dim, p.dim)
+    h1, h2 = h[:, 0], h[:, 1]
+    gen = np.stack([_CF4_A1 * h1 + _CF4_A2 * h2, _CF4_A2 * h1 + _CF4_A1 * h2], axis=1)
+    vals, vecs = np.linalg.eigh(gen.reshape(2 * n_t, p.dim, p.dim))
+    factors = np.einsum("tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj())
+    return _ordered_product(factors, first_on_left=False)

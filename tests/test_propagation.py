@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hologate import (
     LoopSequence,
@@ -19,14 +20,17 @@ from hologate import (
     unitary_fidelity,
     zero_dynamical_phase_amplitude,
 )
+from hologate import model, propagation
 from hologate.linalg import PAULI_1Q
 from hologate.model import frame_frequencies, hamiltonian_path
 from hologate.propagation import (
     ODE_STEPS_PER_PERIOD,
+    _TAYLOR_NORM,
     _evolve,
     _loop_quaternion,
     _ode_steps,
     _stacks,
+    _step_exponentials,
     segment_evolution,
 )
 from hologate.synthesis import TWO_QUBIT_BOUNDS, two_qubit_sequence_from_vector
@@ -38,6 +42,7 @@ from reference import (
     _require_abelian,
     _transport,
     build_eigenframe,
+    ode_propagator_eigh,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -250,6 +255,47 @@ class TestOdePropagator:
         with pytest.raises(ValidationError):
             ode_propagator(random_cyclic_params(rng, 1), 8)
 
+    @pytest.mark.parametrize("n_t", [16.9, 32.0, "32", float("nan"), float("inf"), True])
+    def test_rejects_non_integer_step_counts(self, rng, n_t):
+        with pytest.raises(ValidationError):
+            ode_propagator(random_cyclic_params(rng, 1), n_t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n_t", [None, 16, 2048])
+    def test_matches_the_eigh_reference(self, rng, n, n_t):
+        p = PulseParams(
+            n=n,
+            omega_drive=tuple(rng.uniform(0.2, 4.0, n)),
+            omega_rot=tuple(rng.uniform(1.0, 4.0, n)),
+            phase=tuple(rng.uniform(0.0, TWO_PI, n)),
+            detuning=tuple(rng.uniform(-2.0, 4.0, n)),
+            couplings={pair: rng.uniform(0.3, 2.0) for pair in model._PAIRS[n]},
+            duration=rng.uniform(1.0, 2.0 * TWO_PI),
+        )
+        assert np.abs(ode_propagator(p, n_t) - ode_propagator_eigh(p, n_t)).max() <= 1e-11
+
+    def test_reads_no_invariant(self, rng, monkeypatch):
+        p = random_cyclic_params(rng, 2)
+        expected = ode_propagator(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not read the invariant frame")
+
+        for mod, name in ((propagation, "frame_frequencies"), (propagation, "_evolve"),
+                          (model, "frame_frequencies"), (model, "invariant_path")):
+            monkeypatch.setattr(mod, name, refuse)
+        np.testing.assert_array_equal(ode_propagator(p), expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_undriven_segment_gives_the_identity_exactly(self, n):
+        # every step generator is zero: no division by th = 0, no log2 of a
+        # zero norm, and each factor is I exactly
+        p = PulseParams(n=n, omega_drive=(0.0,) * n, omega_rot=(1.0,) * n, phase=(0.3,) * n,
+                        detuning=(0.0,) * n, duration=TWO_PI)
+        with np.errstate(all="raise"):
+            u = ode_propagator(p)
+        np.testing.assert_array_equal(u, np.eye(2**n))
+
     def test_unitarity(self, rng):
         p = random_cyclic_params(rng, 2)
         u = ode_propagator(p)
@@ -267,6 +313,28 @@ class TestOdePropagator:
             m = frame_t.conj().T @ u @ vecs
             off = m - np.diag(np.diag(m))
             assert np.abs(off).max() < 1e-8
+
+
+def embedded(u):
+    """The real embedding [[Re U, -Im U], [Im U, Re U]] of a stack of U."""
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+class TestStepExponentials:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("scale", [0.0, 1e-6, 1e-2, 0.3, 2.0, 20.0])
+    def test_against_expm(self, rng, d, scale):
+        a = rng.normal(size=(16, d, d)) + 1j * rng.normal(size=(16, d, d))
+        g = a + a.conj().transpose(0, 2, 1)
+        if d == 2:  # the one-qubit closed form takes traceless generators, as H(t) is
+            g -= 0.5 * np.trace(g, axis1=1, axis2=2)[:, None, None] * np.eye(2)
+        g *= scale / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+        with np.errstate(all="raise"):
+            e = _step_exponentials(g)
+        expected = embedded(np.stack([scipy.linalg.expm(-1j * x) for x in g]))
+        assert np.abs(e - expected).max() <= 1e-13
+        if d > 2 and scale >= 2.0:  # the scaling and squaring ran
+            assert np.abs(embedded(-1j * g)).sum(axis=-2).max() > _TAYLOR_NORM
 
 
 class TestPhases:
