@@ -346,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize pulses for a target gate")
     common(p, seed=True)
     p.add_argument("--input", required=True, help="SynthesisProblem JSON")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="simplex restarts; a two-loop single-qubit problem is solved "
+                        "exactly and reads neither this nor --seed")
     p.add_argument("--penalty", type=float, default=None)
 
     p = sub.add_parser("entangle", help="search for a single-loop entangling gate")
@@ -387,7 +389,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,22 +1,27 @@
-"""Pulse-parameter search for target gates and entangling-gate detection.
+"""Pulse synthesis for target gates and entangling-gate detection.
 
 Single-qubit synthesis works in the reduced coordinates (w/D, phi) per loop:
 the drive amplitude is eliminated analytically by the zero-dynamical-phase
 condition, so every candidate loop is holonomic by construction and the
-objective reduces to the closed-form loop gate. That objective is evaluated
-in SU(2) scalars rather than matrices: each loop gate is w I + i (v . sigma),
-loops compose by the quaternion product, and the fidelity is read from
-coefficients of tr(target^dag U) computed once per target. Two-qubit
-synthesis keeps all seven parameters per loop and penalizes the dynamical
-phases; its costs map the parameter vector straight to the stacked H(0),
-frame and duration of every loop and propagate them all with one batched
-`eigh` (`propagation._evolve`), with no `PulseParams` per evaluation.
+objective reduces to the closed-form loop gate, in SU(2) scalars: each loop
+gate is w I + i (v . sigma), and loops compose by the quaternion product.
 
-Every search is a bounded Nelder-Mead simplex (`minimize`) implemented here
-with scipy's arithmetic, so no search imports scipy. Its bookkeeping is in
-plain Python floats, since numpy calls on vectors of 2 to 35 entries cost
-more than the single-qubit objective itself; the costs take each vertex as a
-list of floats.
+A gate of two single-qubit loops is solved in closed form (`two_loops`): the
+exact pairs form one curve in the first loop's coordinates, and the result
+is its point of shortest gate inside the bounds. No search runs, so the
+problem's seed, restarts and max_evals do not affect it.
+
+Every other problem is a bounded Nelder-Mead simplex search (`minimize`)
+implemented here with scipy's arithmetic, so no search imports scipy. The
+single-qubit cost reads the fidelity from coefficients of tr(target^dag U)
+computed once per target. Two-qubit synthesis keeps all seven parameters per
+loop and penalizes the dynamical phases; its costs map the parameter vector
+straight to the stacked H(0), frame and duration of every loop and propagate
+them all with one batched `eigh` (`propagation._evolve`), with no
+`PulseParams` per evaluation. The simplex bookkeeping is in plain Python
+floats, since numpy calls on vectors of 2 to 35 entries cost more than the
+single-qubit objective itself; the costs take each vertex as a list of
+floats.
 """
 from __future__ import annotations
 
@@ -80,6 +85,8 @@ class SynthesisProblem:
     target: np.ndarray
     n_qubits: int
     n_loops: int
+    # seed, restarts and max_evals steer the simplex search; a two-loop
+    # single-qubit problem is solved exactly and reads none of them
     seed: int = 0
     restarts: int = 32
     penalty_weight: float = 10.0
@@ -274,6 +281,13 @@ def two_qubit_sequence_from_vector(x: Sequence[float], coupling: float = 1.0) ->
     return LoopSequence(tuple(segs))
 
 
+def _trace_coefficients(target: np.ndarray) -> list:
+    """c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so that
+    tr(target^dag U) = c0 w + c.v for U = w I + i (v . sigma)."""
+    vdag = target.conj().T
+    return [np.trace(vdag)] + [1j * np.trace(vdag @ PAULI_1Q[a]) for a in "XYZ"]
+
+
 def _closed_form_cost(target: np.ndarray, n_loops: int):
     """1 - F(target, U) for the product U of the closed-form loop gates of
     reduced coordinates x, in SU(2) scalars.
@@ -284,8 +298,7 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     with c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
     |c0 w + c.v| / 2 with the coefficients computed here once.
     """
-    vdag = target.conj().T
-    coeffs = [np.trace(vdag)] + [1j * np.trace(vdag @ PAULI_1Q[a]) for a in "XYZ"]
+    coeffs = _trace_coefficients(target)
     r0, r1, r2, r3 = (float(c.real) for c in coeffs)
     i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
 
@@ -507,25 +520,38 @@ def _key_better(key, ref) -> bool:
 
 
 def synthesize(problem: SynthesisProblem) -> SynthesisResult:
-    """Best-of-restarts simplex search for the target gate.
+    """The target gate's pulses, re-scored by the closed-form propagation.
 
-    Reproducible for a fixed seed: restart starting points are drawn once
-    from the seeded generator and each local search is deterministic. The
-    returned result is re-scored by the closed-form propagation.
+    A single-qubit gate of two loops is solved exactly (`two_loops`): the
+    exact pair of shortest gate inside the bounds, with no search, so seed,
+    restarts and max_evals do not affect it. When no exact pair lies inside
+    the bounds the result is not converged and carries the loops at the
+    bounds' lower corner. Every other problem is a best-of-restarts simplex
+    search, reproducible for a fixed seed: restart starting points are drawn
+    once from the seeded generator and each local search is deterministic.
     """
     bounds = problem.full_bounds()
-    if problem.n_qubits == 1:
-        cost = _closed_form_cost(problem.target, problem.n_loops)
-        options = _NM_OPTIONS
-        sequence_of = single_qubit_sequence_from_vector
-    else:
-        cost = _two_qubit_cost(problem.target, problem.penalty_weight, problem.coupling)
-        options = _NM_OPTIONS_2Q
-        sequence_of = lambda x: two_qubit_sequence_from_vector(x, problem.coupling)
+    found = True
+    if problem.n_qubits == 1 and problem.n_loops == 2:
+        # imported on first use, so a process that synthesizes nothing does
+        # not load the solver
+        from .two_loops import shortest_pair
 
-    candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options,
-                               problem.max_evals)
-    _, seq = _pick_best(candidates, sequence_of)
+        x = shortest_pair(problem.target, bounds)
+        found = x is not None
+        seq = single_qubit_sequence_from_vector(x if found else [lo for lo, _ in bounds])
+    else:
+        if problem.n_qubits == 1:
+            cost = _closed_form_cost(problem.target, problem.n_loops)
+            options = _NM_OPTIONS
+            sequence_of = single_qubit_sequence_from_vector
+        else:
+            cost = _two_qubit_cost(problem.target, problem.penalty_weight, problem.coupling)
+            options = _NM_OPTIONS_2Q
+            sequence_of = lambda x: two_qubit_sequence_from_vector(x, problem.coupling)
+        candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options,
+                                   problem.max_evals)
+        _, seq = _pick_best(candidates, sequence_of)
 
     u, gd = sequence_evolution(seq)
     fidelity = unitary_fidelity(problem.target, u)
@@ -534,7 +560,7 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
         fidelity=fidelity,
         max_abs_dynamical_phase=float(np.abs(gd).max()),
         gate_length=gate_length(seq),
-        converged=fidelity >= problem.fidelity_goal,
+        converged=found and fidelity >= problem.fidelity_goal,
         restarts=problem.restarts,
         seed=problem.seed,
     )

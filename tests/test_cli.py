@@ -169,6 +169,15 @@ class TestSynthCommand:
         assert "warning" in capsys.readouterr().err
         assert json.loads(report.read_text())["converged"] is False
 
+    def test_no_exact_pair_inside_the_bounds_warns_but_exits_zero(self, tmp_path, capsys):
+        # two loops this close to the equator cannot make an X
+        problem = self._problem(tmp_path, target="X", bounds=[[1.0001, 1.001], [0.0, 6.0]])
+        report = tmp_path / "result.json"
+        code = run_cli(["synth", "--input", problem, "--output", report])
+        assert code == 0
+        assert "warning" in capsys.readouterr().err
+        assert json.loads(report.read_text())["converged"] is False
+
 
 class TestEntangleCommand:
     def test_short_search_writes_report(self, tmp_path, capsys):
@@ -275,6 +284,22 @@ class TestErrorHandling:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli(["phases", "--input", bad]) == 2
+
+    @pytest.mark.parametrize("command", ["synth", "gate"])
+    def test_input_not_utf8(self, command, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"target": "X", "n_loops": 2, "name": "\xe9"}'.encode("latin-1"))
+        assert run_cli([command, "--input", bad]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["synth", "phases"])
+    def test_input_is_a_directory(self, command, tmp_path, capsys):
+        assert run_cli([command, "--input", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        assert run_cli(["qpt", "--gate", "X", "--output", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_rb_noise_out_of_range(self):
         assert run_cli(["rb", "--noise-eps", "1.5", "--m-values", "2", "--n-seq", "2"]) == 2

@@ -27,10 +27,21 @@ from hologate.synthesis import (
     TWO_QUBIT_BOUNDS,
     _closed_form_cost,
     _entangler_cost,
+    _pick_best,
+    _run_restarts,
     _two_qubit_cost,
     minimize,
     single_qubit_sequence_from_vector,
     two_qubit_sequence_from_vector,
+)
+
+from hologate.two_loops import (
+    _Arrays,
+    _bracket_root,
+    _cone_loop,
+    _loop_mismatch,
+    _partner,
+    _TwoLoops,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -225,6 +236,197 @@ class TestSimplex:
         self.compare(cost, x0, bounds, options)
 
 
+def random_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def loop_vector(seq):
+    """Reduced coordinates (w/D, phi) of a single-qubit sequence's loops."""
+    return [v for seg in seq for v in (seg.omega_rot[0], seg.phase[0])]
+
+
+class TestTwoLoopsExact:
+    """Two-loop single-qubit problems are solved in closed form."""
+
+    BOUNDS = SINGLE_QUBIT_BOUNDS * 2
+    #: Shortest exact gate lengths, in units of 1/D.
+    LENGTHS = {"X": 7.5267, "Y": 7.5267, "Z": 6.5336, "H": 5.4112, "P": 3.3448, "T": 8.0043}
+
+    @staticmethod
+    def rotations(rng):
+        """Near-identity rotations, z rotations and z rotations tilted slightly."""
+        for angle in (1e-9, 1e-6, 1e-3, 0.1):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            yield np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * sum(
+                a * named_gate(k) for a, k in zip(axis, "XYZ"))
+        for angle in rng.uniform(0.0, np.pi, 4):
+            yield np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+            tilt = 1e-7 * named_gate("X")
+            yield np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * (named_gate("Z") + tilt) \
+                / np.sqrt(1 + 1e-14)
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z", "H", "P", "T", "I"])
+    def test_named_gates(self, name):
+        target = named_gate(name)
+        result = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2))
+        assert result.converged
+        assert _closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
+        assert result.max_abs_dynamical_phase < 1e-9
+        if name in self.LENGTHS:
+            assert result.gate_length == pytest.approx(self.LENGTHS[name], abs=1e-4)
+
+    def test_random_targets(self, rng):
+        targets = [random_unitary(rng) for _ in range(200)] + list(self.rotations(rng))
+        for target in targets:
+            result = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2))
+            assert result.converged
+            assert _closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
+
+    def exact_length_near(self, target, x):
+        """Gate length of the exact pair nearest the pick x: x's first loop,
+        its cone cosine polished onto the curve of exact pairs."""
+        solver = _TwoLoops(target, self.BOUNDS)
+        c, phi = -math.sqrt(1.0 - 1.0 / x[0]), x[1]
+        for sign in (1.0, -1.0):
+            q = tuple(sign * v for v in solver.q)
+            h = solver._mismatch(q, 0)
+            a, b = c - 1e-6, c + 1e-6
+            ha, hb = h(a, phi), h(b, phi)
+            if ha * hb <= 0.0:
+                root = _bracket_root(lambda c: h(c, phi), a, b, ha, hb)
+                pair = solver._pair(q, 0, root, phi)
+                if pair is not None:
+                    return TWO_PI * (2.0 - pair[0])
+        raise AssertionError(f"no exact pair near {x}")
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z", "H", "P", "T"])
+    def test_no_simplex_pick_is_shorter(self, name):
+        target = named_gate(name)
+        exact = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2)).gate_length
+        cost = _closed_form_cost(target, 2)
+        for seed in range(5):
+            x, seq = _pick_best(_run_restarts(cost, self.BOUNDS, seed, 16, _NM_OPTIONS),
+                                single_qubit_sequence_from_vector)
+            if unitary_fidelity(target, sequence_propagator(seq)) < 0.999:
+                continue
+            # a pick off the exact pairs by ~1e-8 (cost ~1e-16) may be shorter
+            # by ~1e-7 for a z rotation, whose exact cone cosines are isolated;
+            # the exact pair nearest it is not shorter
+            assert gate_length(seq) >= exact - 1e-6
+            assert self.exact_length_near(target, x) >= exact - 1e-9
+
+    def test_bounds_are_kept(self, rng):
+        found = 0
+        for _ in range(40):
+            target = random_unitary(rng)
+            bounds = []
+            for _ in range(2):
+                lo = rng.uniform(1.01, 3.0)
+                start = rng.uniform(-1.0, 5.0)
+                bounds += [(lo, rng.uniform(lo + 0.5, 8.0)), (start, start + rng.uniform(1.0, 7.0))]
+            problem = SynthesisProblem(target=target, n_qubits=1, n_loops=2, bounds=bounds)
+            result = synthesize(problem)
+            x = _TwoLoops(target, problem.full_bounds()).best()
+            if x is None:
+                assert not result.converged
+                continue
+            found += 1
+            assert result.converged
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+            assert _closed_form_cost(target, 2)(x) <= 1e-14
+            # every converged simplex pick inside the same bounds is at least as long
+            cost = _closed_form_cost(target, 2)
+            x_s, seq = _pick_best(_run_restarts(cost, bounds, 0, 4, _NM_OPTIONS),
+                                  single_qubit_sequence_from_vector)
+            if cost(x_s) <= 1e-12:
+                assert gate_length(seq) >= result.gate_length - 1e-5
+        assert 5 <= found < 40
+
+    @staticmethod
+    def dense_scan(target, bounds, n=400, top=12):
+        """Largest c1^2 + c2^2 over exact pairs polished from the best
+        crossings of h = 0 on an n x n grid over the first loop."""
+        solver = _TwoLoops(target, bounds)
+        c_lo, c_hi, p_lo, p_hi = solver.boxes[0]
+        cs = np.linspace(c_lo, c_hi, n)
+        ps = np.linspace(p_lo, min(p_hi, p_lo + TWO_PI), n)
+        best = -1.0
+        for sign in (1.0, -1.0):
+            q = tuple(sign * v for v in solver.q)
+            h = solver._mismatch(q, 0)
+            grid = _loop_mismatch(_partner(q, _cone_loop(cs, ps[:, None], _Arrays), True), _Arrays)
+            j, i = np.nonzero(grid[:, :-1] * grid[:, 1:] <= 0.0)
+            pairs = [solver._pair(q, 0, c, p) for c, p in zip(cs[i].tolist(), ps[j].tolist())]
+            f = np.array([-1.0 if pair is None else pair[0] for pair in pairs])
+            for k in np.argsort(-f)[:top]:
+                phi = float(ps[j[k]])
+                root = _bracket_root(lambda c: h(c, phi), float(cs[i[k]]), float(cs[i[k] + 1]),
+                                     float(grid[j[k], i[k]]), float(grid[j[k], i[k] + 1]))
+                pair = solver._pair(q, 0, root, phi)
+                if pair is not None:
+                    best = max(best, pair[0])
+        return best
+
+    def test_no_dense_scan_point_is_shorter(self, rng):
+        # a dense scan polishes exact pairs near its best samples; the pick
+        # must be at least as short, with default and with random bounds
+        for k in range(24):
+            target = random_unitary(rng)
+            bounds = list(self.BOUNDS)
+            if k % 2:
+                for loop in range(2):
+                    lo = rng.uniform(1.01, 3.0)
+                    start = rng.uniform(-1.0, 5.0)
+                    bounds[2 * loop: 2 * loop + 2] = [(lo, rng.uniform(lo + 0.5, 8.0)),
+                                                      (start, start + rng.uniform(1.0, 7.0))]
+            x = _TwoLoops(target, bounds).best()
+            scan = self.dense_scan(target, bounds)
+            if x is None:
+                assert scan < 0.0
+                continue
+            assert 2.0 - 1.0 / x[0] - 1.0 / x[2] >= scan - 1e-12
+
+    @pytest.mark.parametrize("q,bounds", [
+        # the highest point inside lies just within an azimuth bound, and
+        # past the bound the curve climbs higher still
+        ((0.8160559460953705, 0.4633126374530916, -0.01758505536695748, -0.34508674075714796),
+         ((1.000001, 1.830939), (4.425388, 10.708574), (2.026317, 7.31657), (1.580503, 4.977172))),
+        # the highest point lies where the curve turns within a grid cell
+        ((0.6477257096983176, 0.7390057293866558, 0.051869943986968425, 0.1778523146891724),
+         ((1.000001, 7.248735), (2.535385, 8.81857), (2.116003, 7.820841), (3.469533, 9.752719))),
+    ], ids=["bound", "turn"])
+    def test_maximum_near_a_bound_or_a_turn(self, q, bounds):
+        target = q[0] * np.eye(2) + 1j * sum(v * named_gate(k) for v, k in zip(q[1:], "XYZ"))
+        x = _TwoLoops(target, bounds).best()
+        assert 2.0 - 1.0 / x[0] - 1.0 / x[2] >= self.dense_scan(target, bounds, n=1000) - 1e-12
+
+    def test_no_exact_pair_inside_the_bounds(self, monkeypatch):
+        from hologate import synthesis
+
+        monkeypatch.setattr(synthesis, "minimize", None)  # no search runs
+        # loops this close to the equator rotate too little to make an X
+        bounds = ((1.0001, 1.001), (0.0, TWO_PI)) * 2
+        problem = SynthesisProblem(target=named_gate("X"), n_qubits=1, n_loops=2, bounds=bounds)
+        assert _TwoLoops(problem.target, bounds).best() is None
+        result = synthesize(problem)
+        assert not result.converged
+        assert result.fidelity < 0.999
+        assert loop_vector(result.sequence) == [1.0001, 0.0, 1.0001, 0.0]
+
+    def test_search_options_are_not_read(self, monkeypatch):
+        from hologate import synthesis
+
+        monkeypatch.setattr(synthesis, "minimize", None)  # no search runs
+        base = synthesize(SynthesisProblem(target=named_gate("H"), n_qubits=1, n_loops=2))
+        for options in (dict(seed=3), dict(restarts=1), dict(max_evals=5)):
+            other = synthesize(SynthesisProblem(target=named_gate("H"), n_qubits=1, n_loops=2,
+                                                **options))
+            assert other.sequence == base.sequence
+
+
 class TestSynthesize:
     def test_identity_single_loop(self):
         problem = SynthesisProblem(
@@ -258,6 +460,18 @@ class TestSynthesize:
         assert a.fidelity == b.fidelity
         for sa, sb in zip(a.sequence, b.sequence):
             assert sa == sb
+
+    def test_three_loop_simplex_deterministic_given_seed(self):
+        problem = SynthesisProblem(
+            target=named_gate("H"), n_qubits=1, n_loops=3, seed=5, restarts=4,
+        )
+        a, b = synthesize(problem), synthesize(problem)
+        assert a.converged
+        assert a.to_dict() == b.to_dict()
+        other = synthesize(SynthesisProblem(
+            target=named_gate("H"), n_qubits=1, n_loops=3, seed=6, restarts=4,
+        ))
+        assert other.sequence != a.sequence
 
     def test_two_qubit_deterministic_given_seed(self):
         problem = SynthesisProblem(
