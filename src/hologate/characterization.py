@@ -1,10 +1,11 @@
 """Simulated process tomography in the Pauli basis and Clifford randomized
 benchmarking with an optional depolarizing noise injector.
 
-Transfer matrices follow the row-as-input convention: row i holds the Pauli
-expansion coefficients of the channel output for input Pauli i, so the
-identity row of a trace-preserving channel is (1, 0, ..., 0) and composition
-"E1 then E2" multiplies as T(E1) @ T(E2).
+Every channel is held as its Pauli transfer matrix, a `TransferMatrix`; the
+channel constructors return one. Row i holds the Pauli expansion
+coefficients of the channel output for input Pauli i, so the identity row of
+a trace-preserving channel is (1, 0, ..., 0) and composition "E1 then E2"
+multiplies as T(E1) @ T(E2).
 """
 from __future__ import annotations
 
@@ -22,63 +23,12 @@ from .linalg import (
     named_gate,
     pauli_basis,
     pauli_labels,
+    require_unitary,
     unitary_exp,
     PAULI_1Q,
 )
 from .model import LoopSequence
 from .propagation import sequence_propagator
-
-
-class UnitaryChannel:
-    """Conjugation by a fixed unitary: rho -> U rho U^dag."""
-
-    def __init__(self, u: np.ndarray):
-        u = np.asarray(u, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] not in (2, 4, 8):
-            raise ValidationError(f"not a qubit-register unitary: shape {u.shape}")
-        self.u = u
-        self.n = int(np.log2(u.shape[0]))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.u @ rho @ self.u.conj().T
-
-
-class DepolarizingChannel:
-    """rho -> (1 - eps) rho + eps tr(rho) I / d."""
-
-    def __init__(self, eps: float, n: int = 1):
-        if not 0.0 <= _number(eps, "depolarizing strength") <= 1.0:
-            raise ValidationError("depolarizing strength must lie in [0, 1]")
-        self.eps = float(eps)
-        self.n = int(n)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = 2 ** self.n
-        return (1.0 - self.eps) * rho + self.eps * np.trace(rho) * np.eye(d) / d
-
-
-class ChannelSequence:
-    """Composition of channels; the first channel acts first."""
-
-    def __init__(self, channels: Sequence):
-        channels = [as_channel(c) for c in channels]
-        if not channels:
-            raise ValidationError("empty channel sequence")
-        if len({c.n for c in channels}) != 1:
-            raise ValidationError("channels act on different qubit counts")
-        self.channels = channels
-        self.n = channels[0].n
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        for c in self.channels:
-            rho = c.apply(rho)
-        return rho
-
-
-def as_channel(obj) -> UnitaryChannel | DepolarizingChannel | ChannelSequence:
-    if hasattr(obj, "apply") and hasattr(obj, "n"):
-        return obj
-    return UnitaryChannel(np.asarray(obj))
 
 
 @dataclass(frozen=True)
@@ -89,9 +39,9 @@ class TransferMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4 ** self.n,) * 2:
-            raise ValidationError(f"transfer matrix shape {m.shape} for n={self.n}")
+        n, m = _integer(self.n, "qubit count"), np.asarray(self.matrix, dtype=float)
+        if not (1 <= n <= 3 and m.shape == (4 ** n,) * 2 and np.isfinite(m).all()):
+            raise ValidationError(f"not a finite transfer matrix for n={n}: shape {m.shape}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -102,21 +52,59 @@ class TransferMatrix:
         return {"n": self.n, "labels": self.labels, "matrix": self.matrix.tolist()}
 
 
+def _unitary_transfers(us: np.ndarray) -> np.ndarray:
+    """Transfer matrices a[i, j] = tr(sigma_j U sigma_i U^dag) / d of a
+    (k, d, d) stack of unitaries, shape (k, 4^n, 4^n). Each trace is real,
+    since sigma_j and U sigma_i U^dag are Hermitian."""
+    d = us.shape[-1]
+    _, basis = pauli_basis(int(np.log2(d)))
+    outs = us[:, None] @ basis @ np.swapaxes(us.conj(), 1, 2)[:, None]
+    return (np.einsum("jab,kiba->kij", basis, outs) / d).real
+
+
+def UnitaryChannel(u: np.ndarray) -> TransferMatrix:
+    """Transfer matrix of conjugation by a unitary, rho -> U rho U^dag, on one
+    to three qubits."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape not in ((2, 2), (4, 4), (8, 8)):
+        raise ValidationError(f"not a qubit-register unitary: shape {u.shape}")
+    matrix = _unitary_transfers(require_unitary(u)[None])[0]
+    return TransferMatrix(n=int(np.log2(len(u))), matrix=matrix)
+
+
+def DepolarizingChannel(eps: float, n: int = 1) -> TransferMatrix:
+    """Transfer matrix diag(1, 1 - eps, ..., 1 - eps) of
+    rho -> (1 - eps) rho + eps tr(rho) I / d on one to three qubits."""
+    eps = _number(eps, "depolarizing strength")
+    if not 0.0 <= eps <= 1.0:
+        raise ValidationError("depolarizing strength must lie in [0, 1]")
+    n = _integer(n, "qubit count")
+    if not 1 <= n <= 3:
+        raise ValidationError(f"qubit count must be 1..3, got {n}")
+    diagonal = np.full(4 ** n, 1.0 - eps)
+    diagonal[0] = 1.0
+    return TransferMatrix(n=n, matrix=np.diag(diagonal))
+
+
+def ChannelSequence(channels: Sequence) -> TransferMatrix:
+    """Transfer matrix of a composition of channels (transfer matrices or
+    unitaries); the first channel acts first."""
+    transfers = [pauli_transfer(c) for c in channels]
+    if len({t.n for t in transfers}) != 1:
+        raise ValidationError("need one or more channels, all on one qubit count")
+    product = _ordered_product(np.stack([t.matrix for t in transfers]), first_on_left=True)
+    return TransferMatrix(n=transfers[0].n, matrix=product)
+
+
 def pauli_transfer(channel) -> TransferMatrix:
-    """Transfer matrix a[i, j] = tr(sigma_j E(sigma_i)) / 2^n."""
-    channel = as_channel(channel)
-    _, basis = pauli_basis(channel.n)
-    outs = np.stack([channel.apply(sigma) for sigma in basis])
-    mat = np.einsum("jab,iba->ij", basis, outs) / 2 ** channel.n
-    if np.abs(mat.imag).max() > 1e-10:
-        raise ValidationError("channel has a non-real Pauli transfer matrix")
-    return TransferMatrix(n=channel.n, matrix=mat.real)
+    """Transfer matrix a[i, j] = tr(sigma_j E(sigma_i)) / 2^n: `channel`
+    itself when it is one, else that of the unitary `channel`."""
+    return channel if isinstance(channel, TransferMatrix) else UnitaryChannel(channel)
 
 
 def qpt_setting_count(n: int) -> int:
-    """Experiment settings for full reconstruction: 4^n inputs times 4^n - 1
-    measured output coefficients (the identity coefficient follows from
-    normalization)."""
+    """Settings for full reconstruction: 4^n inputs times 4^n - 1 measured
+    output coefficients (the identity one follows from normalization)."""
     return 4 ** n * (4 ** n - 1)
 
 
@@ -155,9 +143,7 @@ CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
 )
 
 #: Transfer matrices of `CLIFFORD_1Q`, stacked in the same order.
-CLIFFORD_1Q_PTM: np.ndarray = np.stack(
-    [pauli_transfer(UnitaryChannel(u)).matrix for _, u in CLIFFORD_1Q]
-)
+CLIFFORD_1Q_PTM: np.ndarray = _unitary_transfers(np.stack([u for _, u in CLIFFORD_1Q]))
 
 
 @dataclass(frozen=True)
@@ -327,21 +313,17 @@ def fit_decay(
     return fit, tuple(float(e) for e in np.sqrt(np.diag(cov))), True
 
 
-def _resolve_target(target, target_ideal):
-    """Implemented unitary and the intended unitary used for recovery."""
-    impl = _plain_unitary(target)
-    ideal = impl if target_ideal is None else _plain_unitary(target_ideal)
-    if impl.shape != (2, 2) or ideal.shape != (2, 2):
-        raise ValidationError("benchmarking is implemented for single-qubit gates")
-    return impl, ideal
-
-
-def _plain_unitary(obj):
+def _target_transfer(obj) -> np.ndarray:
+    """4x4 transfer matrix of a benchmarking target: a gate name, a
+    single-qubit unitary, or a LoopSequence (its propagator)."""
     if isinstance(obj, str):
-        return named_gate(obj)
-    if isinstance(obj, LoopSequence):
-        return sequence_propagator(obj)
-    return np.asarray(obj, dtype=complex)
+        obj = named_gate(obj)
+    elif isinstance(obj, LoopSequence):
+        obj = sequence_propagator(obj)
+    transfer = UnitaryChannel(obj)
+    if transfer.n != 1:
+        raise ValidationError("benchmarking is implemented for single-qubit gates")
+    return transfer.matrix
 
 
 def rb_run(
@@ -363,15 +345,16 @@ def rb_run(
     must lie in [0, 1]. Survival curves are averaged per m and fitted to
     A p^m + B.
 
-    Every sequence is simulated exactly with 4x4 Pauli transfer matrices
-    (`pauli_transfer`): the per-step matrices of the noisy implementation and
-    of the intended gates are chained with batched products over all
-    sequences of one length, the recovery is the transpose of the intended
-    product (the transfer matrix of a unitary is orthogonal), and the
-    survival is the [Z, Z] entry of implementation, recovery, then
-    depolarizing. Sequence draws are seeded per (seed, variant, m, sequence).
+    Every sequence is simulated exactly with 4x4 Pauli transfer matrices:
+    the per-step matrices of the noisy implementation and of the intended
+    gates are chained with batched products over all sequences of one
+    length, the recovery is the transpose of the intended product (the
+    transfer matrix of a unitary is orthogonal), and the survival is the
+    [Z, Z] entry of implementation, recovery, then depolarizing. Sequence
+    draws are seeded per (seed, variant, m, sequence).
 
-    `target` may be a gate name, an explicit unitary, or a LoopSequence (its
+    `target` may be a gate name, an explicit unitary (finite and unitary
+    within 1e-8, as `UnitaryChannel` checks), or a LoopSequence (its
     propagator is taken as the implementation). `target_ideal` sets the
     intended gate used for the recovery; it defaults to the implementation
     itself (for a gate name, the named unitary).
@@ -380,11 +363,11 @@ def rb_run(
     n_sequences, seed = _integer(n_sequences, "n_sequences"), _integer(seed, "seed")
     if any(m < 1 for m in m_values) or n_sequences < 1 or seed < 0:
         raise ValidationError("m values and n_sequences must be positive, seed nonnegative")
-    dep_clifford = pauli_transfer(DepolarizingChannel(eps_clifford)).matrix
-    dep_target = pauli_transfer(DepolarizingChannel(eps_target)).matrix
-    impl = ideal = None
+    dep_clifford = DepolarizingChannel(eps_clifford).matrix
+    dep_target = DepolarizingChannel(eps_target).matrix
     if target is not None:
-        impl, ideal = _resolve_target(target, target_ideal)
+        impl = _target_transfer(target)
+        ideal = impl if target_ideal is None else _target_transfer(target_ideal)
     z = pauli_labels(1).index("Z")
 
     def run_variant(interleave: bool, noisy: np.ndarray, intended: np.ndarray) -> RBRecord:
@@ -417,13 +400,8 @@ def rb_run(
 
     noisy_clifford = CLIFFORD_1Q_PTM @ dep_clifford
     reference = run_variant(False, noisy_clifford, CLIFFORD_1Q_PTM)
-    interleaved = None
-    if target is not None:
-        noisy_target = pauli_transfer(UnitaryChannel(impl)).matrix @ dep_target
-        intended_target = pauli_transfer(UnitaryChannel(ideal)).matrix
-        interleaved = run_variant(
-            True, noisy_clifford @ noisy_target, CLIFFORD_1Q_PTM @ intended_target
-        )
+    interleaved = None if target is None else run_variant(
+        True, noisy_clifford @ (impl @ dep_target), CLIFFORD_1Q_PTM @ ideal)
     return RBRun(reference=reference, interleaved=interleaved)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import GATES, ValidationError, named_gate, pauli_on, unitary_fidelity
-from .model import LoopSequence, invariant_path, di_residual
+from .model import LoopSequence, di_residual, hamiltonian_path, invariant_path
 from .propagation import (
     ode_propagator,
     sequence_evolution,
@@ -35,7 +35,6 @@ from .characterization import (
     DepolarizingChannel,
     ChannelSequence,
     UnitaryChannel,
-    pauli_transfer,
     process_fidelity,
     qpt_setting_count,
     rb_gate_fidelity,
@@ -158,19 +157,19 @@ def cmd_verify_di(args) -> int:
         invariants = invariant_path(seg, ts)
         identity_err = max(float(np.linalg.norm(inv - _pauli_sum_invariant(seg, t)))
                            for inv, t in zip(invariants, ts))
-        residuals = [di_residual(seg, float(t), args.dt) for t in ts]
-        # rounding in the central difference grows as eps ||I|| / dt, so the
-        # bound scales with the invariant
+        residuals = [di_residual(seg, float(t)) for t in ts]
+        # dI/dt is closed form, so only rounding in the commutator remains:
+        # the bound scales with ||H|| ||I||
         seg_ok = identity_err < 1e-12 and all(
-            r <= 1e-8 * max(1.0, float(np.linalg.norm(inv)))
-            for r, inv in zip(residuals, invariants))
+            r <= 1e-13 * max(1.0, float(np.linalg.norm(h) * np.linalg.norm(inv)))
+            for r, h, inv in zip(residuals, hamiltonian_path(seg, ts), invariants))
         ok = ok and seg_ok
         residual = max(residuals)
         report.append({"segment": k, "identity_error": identity_err,
                        "di_residual": residual, "pass": bool(seg_ok)})
         print(f"{'PASS' if seg_ok else 'FAIL'}  segment {k}: "
               f"identity {identity_err:.3g}, residual {residual:.3g}")
-    _emit({"command": "verify-di", "dt": args.dt, "segments": report}, args.output)
+    _emit({"command": "verify-di", "segments": report}, args.output)
     return 0 if ok else 1
 
 
@@ -268,7 +267,7 @@ def cmd_qpt(args) -> int:
         "transfer": transfer.to_dict(),
     }
     if ideal_name:
-        ideal = pauli_transfer(UnitaryChannel(named_gate(ideal_name)))
+        ideal = UnitaryChannel(named_gate(ideal_name))
         doc["target"] = ideal_name
         doc["process_fidelity"] = process_fidelity(transfer, ideal)
     _emit(doc, args.output)
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-di", help="check the invariant identity and residual")
     common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
-    p.add_argument("--dt", type=float, default=1e-6)
     p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("phases", help="geometric/dynamical phase split per segment")

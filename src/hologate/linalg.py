@@ -125,6 +125,16 @@ def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarr
     return a
 
 
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    """`u` as a finite complex square matrix with ||U^dag U - I|| <= 1e-8."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {u.shape}")
+    if not (np.isfinite(u).all() and np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-8):
+        raise ValidationError("matrix is not a finite unitary within 1e-8")
+    return u
+
+
 def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

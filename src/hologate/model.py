@@ -317,19 +317,18 @@ def invariant(p: PulseParams, t: float) -> np.ndarray:
     return invariant_path(p, np.array([t]))[0]
 
 
-def di_residual(p: PulseParams, t: float, dt: float) -> float:
-    """Frobenius norm of dI/dt + i[H, I] with a central finite difference.
+def _invariant_rate(p: PulseParams, t: float) -> np.ndarray:
+    """dI/dt = sum_i W_i w_i (-sin(w_i t + f_i) sx_i + cos(w_i t + f_i) sy_i)."""
+    angle = np.multiply(p.omega_rot, t) + p.phase
+    rate = np.multiply(p.omega_drive, p.omega_rot)
+    coeffs = np.zeros((1, len(_OPERATORS[p.n])))  # on sx_i, then sy_i
+    coeffs[0, :p.n], coeffs[0, p.n:2 * p.n] = -rate * np.sin(angle), rate * np.cos(angle)
+    return _hamiltonians(coeffs, p.n)[0]
 
-    For the closed-form pair the exact residual is zero; the returned value
-    is the O(dt^2) discretization error of the derivative.
-    """
-    t, dt = _number(t, "t"), _number(dt, "dt")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if t - dt < 0.0 or t + dt > p.duration:
-        raise ValidationError("central difference leaves the segment interval")
-    stencil = invariant_path(p, np.array([t - dt, t, t + dt]))
-    idot = (stencil[2] - stencil[0]) / (2.0 * dt)
-    h = hamiltonian_path(p, np.array([t]))[0]
-    comm = h @ stencil[1] - stencil[1] @ h
-    return float(np.linalg.norm(idot + 1j * comm))
+
+def di_residual(p: PulseParams, t: float) -> float:
+    """Frobenius norm of dI/dt + i[H, I] at one instant, with dI/dt in closed
+    form (`_invariant_rate`): zero for the closed-form pair, up to rounding."""
+    t = _require_time(p, _number(t, "t"))
+    h, inv = hamiltonian_path(p, [t])[0], invariant_path(p, [t])[0]
+    return float(np.linalg.norm(_invariant_rate(p, t) + 1j * (h @ inv - inv @ h)))

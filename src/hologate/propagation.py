@@ -36,6 +36,10 @@ ODE_STEPS_PER_PERIOD = 256
 #: ... and per unit of tau * ||H||, with ||H|| bounded by
 #: sum |W_i| / 2 + sum |D_i| / 2 + sum |J_ij| / 4; the larger count is used.
 ODE_STEPS_PER_ACTION = 16
+#: Most steps `ode_propagator` takes, by default or on request. It holds
+#: about 0.7, 4 and 16 kB per step on one, two and three qubits, so its peak
+#: stays near 1.1 GB at most; a published table segment takes 256 steps.
+ODE_MAX_STEPS = 2 ** 16
 #: Relative gap below which invariant (or H_eff) eigenvalues are degenerate.
 DEGENERACY_RTOL = 1e-7
 
@@ -242,14 +246,16 @@ def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
 
     right factor first, with H1, H2 = H(t + c dt) at the Gauss nodes
     c = 1/2 -+ sqrt(3)/6 and a1, a2 = 1/4 +- sqrt(3)/6. Fourth-order accurate
-    in dt; the segment need not be cyclic. The step exponentials (closed
-    form for one qubit, above it a scaled Taylor series whose truncation
-    bound lies below 2^-53) and their tree product run in real 2d x 2d
-    arithmetic, so the result is unitary to rounding.
+    in dt; the segment need not be cyclic. A step count (default
+    `_ode_steps`) above `ODE_MAX_STEPS` is refused before anything is built.
+    The step exponentials (closed form for one qubit, above it a scaled
+    Taylor series whose truncation bound lies below 2^-53) and their tree
+    product run in real 2d x 2d arithmetic, so the result is unitary to
+    rounding.
     """
     n_t = _ode_steps(p) if n_t is None else _integer(n_t, "n_t")
-    if n_t < 16:
-        raise ValidationError("the integrator needs at least 16 steps")
+    if not 16 <= n_t <= ODE_MAX_STEPS:
+        raise ValidationError(f"the integrator takes 16 to {ODE_MAX_STEPS} steps, not {n_t}")
     dt = p.duration / n_t
     starts = np.arange(n_t) * dt
     nodes = np.stack([starts + c * dt for c in _CF4_NODES], axis=1)

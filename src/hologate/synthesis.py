@@ -40,6 +40,7 @@ from .linalg import (
     _number,
     named_gate,
     pauli_basis,
+    require_unitary,
     unitary_fidelity,
 )
 from .model import (
@@ -103,8 +104,7 @@ class SynthesisProblem:
             raise ValidationError(
                 f"target shape {target.shape} does not match n={self.n_qubits}"
             )
-        if np.linalg.norm(target.conj().T @ target - np.eye(target.shape[0])) > 1e-8:
-            raise ValidationError("target must be unitary")
+        require_unitary(target)
         object.__setattr__(self, "target", target)
         if _integer(self.n_loops, "n_loops") < 1:
             raise ValidationError("n_loops must be positive")

@@ -12,6 +12,12 @@ degenerate levels from the library, and nothing of the closed form.
 every step exponential taken from a complex `eigh`: a second computation of
 the same product, which the tests hold the library's real-arithmetic
 `ode_propagator` to.
+
+The channel maps act on explicit density matrices: `unitary_map`,
+`depolarizing_map` and `sequence_map` are rho -> rho' functions, and
+`map_transfer` pushes every Pauli through one. The library holds each channel
+as its transfer matrix only (`hologate.characterization`); the tests compare
+its matrices and their products with these.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hologate.linalg import ValidationError, _ordered_product
+from hologate.linalg import ValidationError, _ordered_product, pauli_basis
 from hologate.model import PulseParams, frame_frequencies, hamiltonian_path
 from hologate.propagation import (
     _CF4_A1,
@@ -201,3 +207,33 @@ def ode_propagator_eigh(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     vals, vecs = np.linalg.eigh(gen.reshape(2 * n_t, p.dim, p.dim))
     factors = np.einsum("tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj())
     return _ordered_product(factors, first_on_left=False)
+
+
+def unitary_map(u: np.ndarray):
+    """rho -> U rho U^dag."""
+    return lambda rho: u @ rho @ u.conj().T
+
+
+def depolarizing_map(eps: float, n: int = 1):
+    """rho -> (1 - eps) rho + eps tr(rho) I / d."""
+    d = 2 ** n
+    return lambda rho: (1.0 - eps) * rho + eps * np.trace(rho) * np.eye(d) / d
+
+
+def sequence_map(maps):
+    """The maps applied in turn; the first acts first."""
+    def apply(rho):
+        for m in maps:
+            rho = m(rho)
+        return rho
+    return apply
+
+
+def map_transfer(channel, n: int) -> np.ndarray:
+    """a[i, j] = tr(sigma_j E(sigma_i)) / 2^n, each input Pauli pushed
+    through the density-matrix map E; the imaginary part must vanish."""
+    _, basis = pauli_basis(n)
+    outs = np.stack([channel(sigma) for sigma in basis])
+    mat = np.einsum("jab,iba->ij", basis, outs) / 2 ** n
+    assert np.abs(mat.imag).max() <= 1e-12
+    return mat.real

@@ -16,6 +16,7 @@ from hologate import (
     UnitaryChannel,
     di_residual,
     eigenframe_propagator,
+    hamiltonian,
     invariant,
     named_gate,
     ode_propagator,
@@ -34,7 +35,13 @@ from hologate import tables
 from hologate.cli import main as cli_main
 from hologate.synthesis import correlation_singular_values, gate_length
 from conftest import assemble_invariant, random_cyclic_params
-from reference import build_eigenframe
+from reference import (
+    build_eigenframe,
+    depolarizing_map,
+    map_transfer,
+    sequence_map,
+    unitary_map,
+)
 
 N_DRAWS = 100
 
@@ -65,10 +72,14 @@ def test_criterion_1_di_identity(draws):
                 worst_identity,
                 float(np.linalg.norm(invariant(p, t) - assemble_invariant(p, t))),
             )
-            worst_residual = max(worst_residual, di_residual(p, t, 1e-6))
-    ok = worst_identity < 1e-12 and worst_residual < 1e-8
-    report(1, ok, f"identity max {worst_identity:.2e} (< 1e-12), "
-                  f"residual max {worst_residual:.2e} (< 1e-8), {len(draws)} draws")
+            # dI/dt is closed form: the residual is rounding in [H, I]
+            scale = max(1.0, float(np.linalg.norm(hamiltonian(p, t))
+                                   * np.linalg.norm(invariant(p, t))))
+            worst_residual = max(worst_residual, di_residual(p, t) / scale)
+    ok = worst_identity < 1e-12 and worst_residual <= 1e-13
+    report(1, ok, f"identity max {worst_identity:.2e} (< 1e-12), residual / "
+                  f"max(1, ||H|| ||I||) max {worst_residual:.2e} (<= 1e-13), "
+                  f"{len(draws)} draws")
 
 
 def test_criterion_2_oracle_equivalence(propagator_pairs):
@@ -180,14 +191,12 @@ def test_criterion_9_qpt_bookkeeping(rng):
     from hologate import unitary_exp
 
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    chans = [UnitaryChannel(unitary_exp(h + h.conj().T, 0.4)),
-             DepolarizingChannel(0.07, 2),
-             UnitaryChannel(named_gate("CNOT"))]
+    u = unitary_exp(h + h.conj().T, 0.4)
+    chans = [UnitaryChannel(u), DepolarizingChannel(0.07, 2), UnitaryChannel(named_gate("CNOT"))]
     composed = pauli_transfer(ChannelSequence(chans)).matrix
-    prod = np.eye(16)
-    for c in chans:
-        prod = prod @ pauli_transfer(c).matrix
-    comp_err = float(np.abs(composed - prod).max())
+    # against the density-matrix maps applied in turn
+    maps = [unitary_map(u), depolarizing_map(0.07, 2), unitary_map(named_gate("CNOT"))]
+    comp_err = float(np.abs(composed - map_transfer(sequence_map(maps), 2)).max())
     ok = counts_ok and comp_err < 1e-8
     report(9, ok, f"settings {n1}/{n2} (12/240), composition error {comp_err:.1e} (< 1e-8)")
 

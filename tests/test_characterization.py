@@ -28,8 +28,9 @@ from hologate import (
     unitary_exp,
 )
 from hologate import linalg, synthesis, tables
-from hologate.characterization import FLAT_SPAN, SLOWEST_RATE
+from hologate.characterization import CLIFFORD_1Q_PTM, FLAT_SPAN, SLOWEST_RATE
 from hologate.linalg import PAULI_1Q, pauli_basis
+from reference import depolarizing_map, map_transfer, sequence_map, unitary_map
 
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
 
@@ -58,15 +59,15 @@ def density_matrix_rb(impl, ideal, eps_clifford, eps_target, m_values, n_sequenc
         for si in range(n_sequences):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, int(interleave), mi, si]))
-            channels, net = [], np.eye(2, dtype=complex)
+            maps, net = [], np.eye(2, dtype=complex)
             for k in rng.integers(0, len(cliffords), size=m):
-                channels += [UnitaryChannel(cliffords[k]), DepolarizingChannel(eps_clifford)]
+                maps += [unitary_map(cliffords[k]), depolarizing_map(eps_clifford)]
                 net = cliffords[k] @ net
                 if interleave:
-                    channels += [UnitaryChannel(impl), DepolarizingChannel(eps_target)]
+                    maps += [unitary_map(impl), depolarizing_map(eps_target)]
                     net = ideal @ net
-            channels += [UnitaryChannel(net.conj().T), DepolarizingChannel(eps_clifford)]
-            rho = ChannelSequence(channels).apply(SZ)
+            maps += [unitary_map(net.conj().T), depolarizing_map(eps_clifford)]
+            rho = sequence_map(maps)(SZ)
             vals.append(np.trace(SZ @ rho).real / 2.0)
         means.append(np.mean(vals))
         errs.append(np.std(vals, ddof=1) / np.sqrt(n_sequences))
@@ -102,6 +103,9 @@ class TestPauliTransfer:
         ])
         t = pauli_transfer(channel)
         np.testing.assert_allclose(t.matrix[0], [1, 0, 0, 0], atol=1e-14)
+        reference = map_transfer(
+            sequence_map([unitary_map(named_gate("H")), depolarizing_map(0.13)]), 1)
+        np.testing.assert_allclose(t.matrix, reference, rtol=0, atol=1e-15)
 
     def test_cnot_against_brute_force(self):
         t = pauli_transfer(named_gate("CNOT"))
@@ -132,10 +136,60 @@ class TestPauliTransfer:
         chans = [UnitaryChannel(u1), DepolarizingChannel(0.05, 1),
                  UnitaryChannel(named_gate("H"))]
         composed = pauli_transfer(ChannelSequence(chans)).matrix
-        prod = np.eye(4)
-        for c in chans:
-            prod = prod @ pauli_transfer(c).matrix  # row convention: left-to-right
-        np.testing.assert_allclose(composed, prod, atol=1e-8)
+        # the density-matrix maps applied in turn, the first acting first
+        maps = [unitary_map(u1), depolarizing_map(0.05), unitary_map(named_gate("H"))]
+        np.testing.assert_allclose(composed, map_transfer(sequence_map(maps), 1),
+                                   rtol=0, atol=1e-14)
+        # a raw unitary in the sequence is its own channel
+        np.testing.assert_array_equal(
+            ChannelSequence([u1, chans[1], named_gate("H")]).matrix, composed)
+
+    def test_clifford_table_against_brute_force(self):
+        assert CLIFFORD_1Q_PTM.shape == (6, 4, 4)
+        for (_, u), t in zip(CLIFFORD_1Q, CLIFFORD_1Q_PTM):
+            np.testing.assert_allclose(t, brute_force_transfer(u), rtol=0, atol=1e-15)
+
+    def test_random_three_qubit_against_brute_force(self, rng):
+        h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        u = unitary_exp(h + h.conj().T, 0.6)
+        t = pauli_transfer(u)
+        assert t.n == 3
+        np.testing.assert_allclose(t.matrix, brute_force_transfer(u), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_depolarizing_against_the_density_matrix_map(self, n):
+        t = DepolarizingChannel(0.3, n)
+        assert t.n == n
+        np.testing.assert_allclose(t.matrix, map_transfer(depolarizing_map(0.3, n), n),
+                                   rtol=0, atol=1e-15)
+
+    def test_transfer_matrix_is_its_own_channel(self):
+        t = DepolarizingChannel(0.1, 2)
+        assert pauli_transfer(t) is t and simulate_qpt(t)[0] is t
+
+    @pytest.mark.parametrize("u", [
+        np.full((2, 2), np.nan),
+        np.diag([1.0, np.inf]),
+        np.ones((2, 2)),
+        2.0 * np.eye(4),
+        np.eye(2) + 1e-7,
+        np.eye(3),
+        np.eye(16),
+        np.ones((2, 3)),
+    ])
+    def test_rejects_what_is_not_a_register_unitary(self, u):
+        with pytest.raises(ValidationError):
+            UnitaryChannel(u)
+        with pytest.raises(ValidationError):
+            pauli_transfer(u)
+        with pytest.raises(ValidationError):
+            ChannelSequence([u])
+
+    def test_sequence_validation(self):
+        with pytest.raises(ValidationError):
+            ChannelSequence([])
+        with pytest.raises(ValidationError):
+            ChannelSequence([SX, DepolarizingChannel(0.1, 2)])
 
     def test_unitality(self):
         for channel in (UnitaryChannel(named_gate("T")), DepolarizingChannel(0.2, 1)):
@@ -378,6 +432,14 @@ class TestRb:
         with pytest.raises(ValidationError):
             rb_run(seed=-1, m_values=(2,), n_sequences=2)
 
+    @pytest.mark.parametrize("u", [np.full((2, 2), np.nan), np.ones((2, 2)),
+                                   np.diag([1.0, np.inf])])
+    def test_rejects_a_target_that_is_not_unitary(self, u):
+        with pytest.raises(ValidationError):
+            rb_run(target=u, m_values=(2,), n_sequences=2)
+        with pytest.raises(ValidationError):
+            rb_run(target="X", target_ideal=u, m_values=(2,), n_sequences=2)
+
     @pytest.mark.parametrize("kwargs", [
         {"m_values": (2.7, 4)},  # would run as m = 2
         {"m_values": (True, 4)},
@@ -428,11 +490,46 @@ class TestRbGateFidelity:
             rb_gate_fidelity(bad, self._record(0.9), 1)
 
 
+def test_one_channel_algebra():
+    # every channel is a transfer matrix: the library keeps no density-matrix
+    # map (that is the test reference, tests/reference.py)
+    import ast
+
+    import hologate
+    from hologate import characterization
+
+    assert not hasattr(characterization, "as_channel")
+    for path in Path(hologate.__file__).parent.glob("*.py"):
+        defs = {node.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef)}
+        assert "apply" not in defs, path
+    for channel in (UnitaryChannel(SX), DepolarizingChannel(0.1), ChannelSequence([SX, SZ])):
+        assert type(channel) is TransferMatrix
+
+
 def test_transfer_matrix_shape_validation():
     with pytest.raises(ValidationError):
         TransferMatrix(n=1, matrix=np.eye(3))
 
 
+@pytest.mark.parametrize("n,matrix", [
+    (1, np.full((4, 4), np.nan)), (1, np.diag([1.0, np.inf, 1.0, 1.0])),
+    (0, np.eye(1)), (4, np.eye(256)), (1.0, np.eye(4)),
+])
+def test_transfer_matrix_must_be_finite_on_one_to_three_qubits(n, matrix):
+    # every channel is a TransferMatrix, so the checks that a channel passes
+    # hold for one built directly too
+    with pytest.raises(ValidationError):
+        TransferMatrix(n=n, matrix=matrix)
+
+
 def test_depolarizing_strength_validation():
     with pytest.raises(ValidationError):
         DepolarizingChannel(1.5, 1)
+
+
+@pytest.mark.parametrize("n", [0, 4, 7, -1, 1.5, True, "2"])
+def test_depolarizing_qubit_count_validation(n):
+    # checked before anything is built: n = 7 would be a 16384 x 16384 matrix
+    with pytest.raises(ValidationError):
+        DepolarizingChannel(0.1, n)

@@ -68,12 +68,17 @@ def test_library_holds_no_grid_reference():
 
 
 class TestVerifyDi:
-    @pytest.mark.parametrize("flag,value", [
-        ("--samples", "0"), ("--samples", "-1"), ("--dt", "nan"), ("--dt", "0"),
-    ])
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-1")])
     def test_bad_option_value(self, flag, value, x_sequence_file, capsys):
         assert run_cli(["verify-di", "--input", x_sequence_file, flag, value]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_dt_is_an_unknown_option(self, x_sequence_file, capsys):
+        # dI/dt is closed form; there is no difference step to set
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify-di", "--input", x_sequence_file, "--dt", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
     def test_pass(self, x_sequence_file, tmp_path, capsys):
         code = run_cli(["verify-di", "--input", x_sequence_file,
@@ -85,12 +90,13 @@ class TestVerifyDi:
         report = tmp_path / "di.json"
         run_cli(["verify-di", "--input", x_sequence_file, "--output", report])
         doc = json.loads(report.read_text())
+        assert set(doc) == {"command", "segments"}
         assert all(seg["pass"] for seg in doc["segments"])
-        assert all(seg["di_residual"] < 1e-8 for seg in doc["segments"])
+        assert all(seg["di_residual"] < 1e-13 for seg in doc["segments"])
 
     def test_residual_bound_scales_with_the_invariant(self, tmp_path, capsys):
-        # ||I|| ~ 28 here: rounding in the central difference reaches ~1.6e-8,
-        # above an absolute 1e-8 but within 1e-8 ||I||
+        # ||H|| ||I|| ~ 780 at this corner of the search box: rounding in the
+        # commutator reaches ~2e-14, within 1e-13 ||H|| ||I||
         seq = synthesis.two_qubit_sequence_from_vector([10, 10, 10, 0.3, 1.1, 10, 10])
         path = tmp_path / "strong.json"
         path.write_text(seq.dumps())
@@ -110,6 +116,25 @@ class TestVerifyDi:
         assert run_cli(["verify-di", "--input", x_sequence_file]) == 1
         out = capsys.readouterr().out
         assert "FAIL  segment 0" in out and "PASS" not in out
+
+    def test_residual_sees_a_small_break(self, tmp_path, monkeypatch, capsys):
+        # J (1 + 1e-9) in the zz term of the I that di_residual reads gives a
+        # residual ~9e-9 on the first CNOT segment: far above the 1e-13
+        # ||H|| ||I|| bound, but within the 1e-8 ||I|| that a central
+        # difference needs. The identity check reads the exact I and passes.
+        exact = model.invariant_path
+        zz = pauli_on(2, 0, "Z") @ pauli_on(2, 1, "Z")
+
+        def broken(seg, times):
+            return exact(seg, times) + 0.5e-9 * seg.couplings[(0, 1)] * zz
+
+        path, report = tmp_path / "cnot.json", tmp_path / "di.json"
+        path.write_text(tables.cnot_sequence().dumps())
+        monkeypatch.setattr(model, "invariant_path", broken)  # read by di_residual
+        assert run_cli(["verify-di", "--input", path, "--output", report]) == 1
+        assert "FAIL  segment 0" in capsys.readouterr().out
+        first = json.loads(report.read_text())["segments"][0]
+        assert first["identity_error"] < 1e-12 and 5e-9 < first["di_residual"] < 1e-8
 
 
 class TestPhasesCommand:
@@ -134,6 +159,16 @@ class TestGateCommand:
         assert doc["oracle_distance"] < 1e-6
         u = np.asarray(doc["matrix"]["real"]) + 1j * np.asarray(doc["matrix"]["imag"])
         assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-8
+
+
+    def test_oracle_step_cap_exits_2(self, tmp_path, capsys):
+        # 257 drive periods: the default oracle grid is just over its cap
+        seg = model.PulseParams(n=1, omega_drive=(1.0,), omega_rot=(2.0,), phase=(0.0,),
+                                detuning=(1.0,), duration=257 * np.pi)
+        path = tmp_path / "long.json"
+        path.write_text(model.LoopSequence((seg,)).dumps())
+        assert run_cli(["gate", "--input", path]) == 2
+        assert "steps" in capsys.readouterr().err
 
 
 class TestSynthCommand:

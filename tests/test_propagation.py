@@ -24,6 +24,7 @@ from hologate import model, propagation
 from hologate.linalg import PAULI_1Q
 from hologate.model import frame_frequencies, hamiltonian_path
 from hologate.propagation import (
+    ODE_MAX_STEPS,
     ODE_STEPS_PER_PERIOD,
     _TAYLOR_NORM,
     _evolve,
@@ -250,6 +251,18 @@ class TestOdePropagator:
         p = two_qubit_sequence_from_vector(x).segments[0]
         assert _ode_steps(p) > ODE_STEPS_PER_PERIOD
         assert np.linalg.norm(ode_propagator(p) - eigenframe_propagator(p)) < 1e-8
+
+    def test_step_count_is_capped(self):
+        # 257 drive periods of one qubit: 257 * 256 steps by default
+        p = PulseParams(n=1, omega_drive=(1.0,), omega_rot=(2.0,), phase=(0.0,),
+                        detuning=(1.0,), duration=257 * np.pi)
+        assert _ode_steps(p) == 257 * ODE_STEPS_PER_PERIOD > ODE_MAX_STEPS >= 100 * 512
+        with pytest.raises(ValidationError, match="steps"):
+            ode_propagator(p)
+        with pytest.raises(ValidationError, match="steps"):
+            ode_propagator(p, ODE_MAX_STEPS + 1)
+        u = ode_propagator(p, ODE_MAX_STEPS)  # rounding builds up over the steps
+        assert np.linalg.norm(u - eigenframe_propagator(p)) < 1e-6
 
     def test_rejects_too_few_steps(self, rng):
         with pytest.raises(ValidationError):

@@ -513,6 +513,11 @@ class TestSynthesize:
             SynthesisProblem(target=np.eye(2), n_qubits=1, n_loops=1,
                              bounds=((1.0, 0.5),))
 
+    @pytest.mark.parametrize("target", [np.full((2, 2), np.nan), np.diag([1.0, np.inf])])
+    def test_problem_target_must_be_finite(self, target):
+        with pytest.raises(ValidationError, match="finite unitary"):
+            SynthesisProblem(target=target, n_qubits=1, n_loops=2)
+
     @pytest.mark.parametrize("field,value", [
         ("seed", -1), ("restarts", 0), ("restarts", -1), ("max_evals", 0),
         ("coupling", float("inf")), ("coupling", "1"), ("penalty_weight", None),
