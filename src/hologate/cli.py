@@ -147,13 +147,11 @@ def _pauli_sum_invariant(seg, t: float) -> np.ndarray:
 
 
 def cmd_verify_di(args) -> int:
-    if args.samples < 1:
-        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     seq = _load_sequence(args.input)
     report = []
     ok = True
     for k, seg in enumerate(seq):
-        ts = np.linspace(0.1, 0.9, args.samples) * seg.duration
+        ts = np.linspace(0.1, 0.9, 5) * seg.duration
         invariants = invariant_path(seg, ts)
         identity_err = max(float(np.linalg.norm(inv - _pauli_sum_invariant(seg, t)))
                            for inv, t in zip(invariants, ts))
@@ -330,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-di", help="check the invariant identity and residual")
     common(p)
     p.add_argument("--input", required=True, help="LoopSequence JSON")
-    p.add_argument("--samples", type=int, default=5)
 
     p = sub.add_parser("phases", help="geometric/dynamical phase split per segment")
     common(p)

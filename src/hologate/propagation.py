@@ -14,6 +14,9 @@ closed form for one qubit and scaled Taylor series above, multiplied in real
 2d x 2d arithmetic with no `eigh`. The tests keep two references
 (`tests/reference.py`): the same scheme with `eigh` step exponentials, and
 the invariant eigenframe sampled and parallel-transported on a time grid.
+
+Single-qubit loops have one builder (`_loop_pulse`), one gate formula in the
+cone cosine c = cos(theta) (`_cone_loop`) and one SU(2) product (`_compose`).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, _integer, _ordered_product
+from .linalg import PAULI_1Q, ValidationError, _integer, _number, _ordered_product
 from .model import (
     TWO_PI,
     LoopSequence,
@@ -289,6 +292,17 @@ def zero_dynamical_phase_amplitude(omega: float, delta: float) -> float:
     return float(np.sqrt(prod))
 
 
+def _loop_pulse(ratio: float, phi: float, det: float) -> PulseParams:
+    """The zero-dynamical-phase single-qubit loop of drive frequency ratio
+    w/D = ratio, initial azimuth phi and detuning D = det, over one drive
+    period. Its cone cosine is -sign(D) sqrt((ratio - 1) / ratio); at
+    ratio 1 the drive vanishes."""
+    omega = ratio * det
+    amp = zero_dynamical_phase_amplitude(omega, det) if ratio != 1.0 else 0.0
+    return PulseParams(n=1, omega_drive=(amp,), omega_rot=(omega,), phase=(phi,),
+                       detuning=(det,), duration=TWO_PI / abs(omega))
+
+
 def loop_params(theta: float, phi: float, delta: float = 1.0) -> PulseParams:
     """Single-qubit cyclic segment with invariant cone angle theta and initial
     azimuth phi, constrained to zero dynamical phase.
@@ -296,40 +310,47 @@ def loop_params(theta: float, phi: float, delta: float = 1.0) -> PulseParams:
     Cone angles above pi/2 use positive detuning (delta); at and below pi/2
     the detuning and drive frequency flip sign (reversed precession). At
     exactly pi/2 the drive vanishes and the loop reduces to a bare
-    -identity. theta must lie strictly inside (0, pi).
+    -identity. theta must lie strictly inside (0, pi); delta must not be 0.
     """
-    theta = float(theta)
+    theta, phi, delta = _number(theta, "theta"), _number(phi, "phi"), _number(delta, "delta")
     if not 0.0 < theta < np.pi:
         raise ValidationError("cone angle must lie strictly inside (0, pi)")
+    if delta == 0.0:
+        raise ValidationError("delta must not be 0")
     s2 = np.sin(theta) ** 2
     if s2 == 0.0:
         raise ValidationError("degenerate cone angle")
-    ratio = 1.0 / s2
     sign = 1.0 if theta > np.pi / 2 else -1.0
-    det = sign * abs(delta)
-    omega = ratio * det
-    amp = zero_dynamical_phase_amplitude(omega, det) if ratio > 1.0 else 0.0
-    return PulseParams(
-        n=1,
-        omega_drive=(amp,),
-        omega_rot=(omega,),
-        phase=(float(phi),),
-        detuning=(det,),
-        couplings={},
-        duration=TWO_PI / abs(omega),
-    )
+    return _loop_pulse(float(1.0 / s2), phi, sign * abs(delta))
 
 
-def _loop_quaternion(theta: float, phi: float) -> tuple[float, float, float, float]:
-    """The loop gate of `single_qubit_loop_gate` as SU(2) scalars (w, vx, vy, vz),
-    U = w I + i (v . sigma), computed with `math` only."""
-    theta = float(theta)
-    if not 0.0 < theta < math.pi:
-        raise ValidationError("cone angle must lie strictly inside (0, pi)")
-    ct, st = math.cos(theta), math.sin(theta)
-    angle = (math.pi if theta >= math.pi / 2 else -math.pi) * ct
-    s = -math.sin(angle)
-    return -math.cos(angle), s * st * math.cos(phi), s * st * math.sin(phi), s * ct
+def _cone_loop(c, phi, m=math):
+    """SU(2) scalars (w, vx, vy, vz), U = w I + i (v . sigma), of the loop
+    gate of cone cosine c = cos(theta) in (-1, 1) and azimuth phi:
+    (-cos(pi |c|), sin(pi |c|) n), n = (s cos phi, s sin phi, c) with
+    s = sqrt(1 - c^2). `m` may hold numpy's functions under math's names."""
+    angle = math.pi * abs(c)
+    a = m.sin(angle)
+    r = a * m.sqrt(1.0 - c * c)
+    return -m.cos(angle), r * m.cos(phi), r * m.sin(phi), a * c
+
+
+def _compose(a, b):
+    """SU(2) scalars of the product A B of A = a0 I + i (a . sigma) and B
+    likewise: (a0 b0 - a.b, a0 b + b0 a - a x b)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + bw * ax - (ay * bz - az * by),
+            aw * by + bw * ay - (az * bx - ax * bz),
+            aw * bz + bw * az - (ax * by - ay * bx))
+
+
+def _trace_coefficients(target: np.ndarray) -> list:
+    """c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so that
+    tr(target^dag U) = c0 w + c.v for U = w I + i (v . sigma)."""
+    vdag = target.conj().T
+    return [np.trace(vdag)] + [1j * np.trace(vdag @ PAULI_1Q[a]) for a in "XYZ"]
 
 
 def single_qubit_loop_gate(theta: float, phi: float) -> np.ndarray:
@@ -343,5 +364,8 @@ def single_qubit_loop_gate(theta: float, phi: float) -> np.ndarray:
     with + for theta > pi/2 (counterclockwise precession) and - below; the
     closed form is validated against `eigenframe_propagator(loop_params(...))`.
     """
-    w, vx, vy, vz = _loop_quaternion(theta, phi)
+    theta, phi = _number(theta, "theta"), _number(phi, "phi")
+    if not 0.0 < theta < math.pi:
+        raise ValidationError("cone angle must lie strictly inside (0, pi)")
+    w, vx, vy, vz = _cone_loop(math.cos(theta), phi)
     return np.array([[w + 1j * vz, vy + 1j * vx], [-vy + 1j * vx, w - 1j * vz]])

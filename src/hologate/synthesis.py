@@ -3,8 +3,9 @@
 Single-qubit synthesis works in the reduced coordinates (w/D, phi) per loop:
 the drive amplitude is eliminated analytically by the zero-dynamical-phase
 condition, so every candidate loop is holonomic by construction and the
-objective reduces to the closed-form loop gate, in SU(2) scalars: each loop
-gate is w I + i (v . sigma), and loops compose by the quaternion product.
+objective reduces to the closed-form loop gate of cone cosine
+c = -sqrt((w/D - 1) / (w/D)), in the SU(2) scalars and product of
+`propagation` (`_cone_loop`, `_compose`).
 
 A gate of two single-qubit loops is solved in closed form (`two_loops`): the
 exact pairs form one curve in the first loop's coordinates, and the result
@@ -25,7 +26,6 @@ floats.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linalg import (
-    PAULI_1Q,
     ValidationError,
     _integer,
     _number,
@@ -53,11 +52,13 @@ from .model import (
 )
 from .propagation import (
     _chain,
+    _compose,
+    _cone_loop,
     _evolve,
-    _loop_quaternion,
+    _loop_pulse,
+    _trace_coefficients,
     segment_evolution,
     sequence_evolution,
-    zero_dynamical_phase_amplitude,
 )
 
 #: Default per-loop bounds for the reduced single-qubit coordinates (w/D, phi).
@@ -165,10 +166,6 @@ class SynthesisProblem:
             max_evals=None if max_evals is None else _integer(max_evals, "max_evals"),
         )
 
-    @classmethod
-    def loads(cls, text: str) -> "SynthesisProblem":
-        return cls.from_dict(json.loads(text))
-
 
 _PROBLEM_FIELDS = ["bounds", "coupling", "max_evals", "n", "n_loops", "penalty_weight",
                    "restarts", "seed", "target"]
@@ -245,20 +242,8 @@ def _phase_penalty(gd: np.ndarray) -> float:
 
 def single_qubit_sequence_from_vector(x: Sequence[float]) -> LoopSequence:
     """Reduced coordinates (w/D, phi) per loop to pulses with D = 1."""
-    segs = []
-    for k in range(0, len(x), 2):
-        ratio, phi = float(x[k]), float(x[k + 1])
-        segs.append(
-            PulseParams(
-                n=1,
-                omega_drive=(zero_dynamical_phase_amplitude(ratio, 1.0),),
-                omega_rot=(ratio,),
-                phase=(phi,),
-                detuning=(1.0,),
-                duration=TWO_PI / ratio,
-            )
-        )
-    return LoopSequence(tuple(segs))
+    return LoopSequence(tuple(_loop_pulse(float(x[k]), float(x[k + 1]), 1.0)
+                              for k in range(0, len(x), 2)))
 
 
 def two_qubit_sequence_from_vector(x: Sequence[float], coupling: float = 1.0) -> LoopSequence:
@@ -281,21 +266,15 @@ def two_qubit_sequence_from_vector(x: Sequence[float], coupling: float = 1.0) ->
     return LoopSequence(tuple(segs))
 
 
-def _trace_coefficients(target: np.ndarray) -> list:
-    """c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so that
-    tr(target^dag U) = c0 w + c.v for U = w I + i (v . sigma)."""
-    vdag = target.conj().T
-    return [np.trace(vdag)] + [1j * np.trace(vdag @ PAULI_1Q[a]) for a in "XYZ"]
-
-
 def _closed_form_cost(target: np.ndarray, n_loops: int):
     """1 - F(target, U) for the product U of the closed-form loop gates of
     reduced coordinates x, in SU(2) scalars.
 
-    Each loop gate is w I + i (v . sigma) (`_loop_quaternion`); the gate of
-    a later loop g acts on the product u so far as
-    (g_w u_w - g.u, g_w u + u_w g - g x u). tr(target^dag U) = c0 w + c.v
-    with c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
+    A loop of ratio w/D has the cone cosine c = -sqrt((ratio - 1) / ratio),
+    free of cancellation near resonance, and its gate w I + i (v . sigma)
+    is `_cone_loop(c, phi)`; each later loop multiplies the product so far
+    from the left (`_compose`). tr(target^dag U) = c0 w + c.v with
+    c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
     |c0 w + c.v| / 2 with the coefficients computed here once.
     """
     coeffs = _trace_coefficients(target)
@@ -303,17 +282,11 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
     i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
 
     def cost(x: Sequence[float]) -> float:
-        w, vx, vy, vz = 1.0, 0.0, 0.0, 0.0
+        u = (1.0, 0.0, 0.0, 0.0)
         for k in range(0, 2 * n_loops, 2):
             ratio = max(x[k], 1.0 + 1e-12)
-            theta = math.pi - math.asin(1.0 / math.sqrt(ratio))
-            gw, gx, gy, gz = _loop_quaternion(theta, x[k + 1])
-            w, vx, vy, vz = (
-                gw * w - gx * vx - gy * vy - gz * vz,
-                gw * vx + w * gx - gy * vz + gz * vy,
-                gw * vy + w * gy - gz * vx + gx * vz,
-                gw * vz + w * gz - gx * vy + gy * vx,
-            )
+            u = _compose(_cone_loop(-math.sqrt((ratio - 1.0) / ratio), x[k + 1]), u)
+        w, vx, vy, vz = u
         re = r0 * w + r1 * vx + r2 * vy + r3 * vz
         im = i0 * w + i1 * vx + i2 * vy + i3 * vz
         return 1.0 - 0.5 * math.hypot(re, im)

@@ -17,11 +17,10 @@ J = 2 in table units. Handedness is immaterial for the two-qubit checks
 """
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .model import LoopSequence, PulseParams
+from .propagation import _loop_pulse
 from .synthesis import single_qubit_sequence_from_vector, two_qubit_sequence_from_vector
 
 #: Two-loop single-qubit gates: gate name -> ((w/D, phase), (w/D, phase)).
@@ -61,19 +60,10 @@ CNOT_ROWS = (
 )
 
 
-def _mirrored(seq: LoopSequence) -> LoopSequence:
-    """The handedness transform (w, D, f) -> (-w, -D, pi - f) the published
-    single-qubit listings assume, applied to every loop. It leaves
-    D (w - D), and so the zero-dynamical-phase drive amplitude, unchanged."""
-    return LoopSequence(tuple(
-        dataclasses.replace(seg, omega_rot=(-seg.omega_rot[0],), detuning=(-seg.detuning[0],),
-                            phase=(np.pi - seg.phase[0],))
-        for seg in seq
-    ))
-
-
 def single_qubit_sequence(gate: str) -> LoopSequence:
-    return _mirrored(single_qubit_sequence_from_vector(np.ravel(SINGLE_QUBIT_LOOPS[gate])))
+    # mirrored as the module docstring says: D = -1 and phase pi - f
+    return LoopSequence(tuple(_loop_pulse(ratio, np.pi - phi, -1.0)
+                              for ratio, phi in SINGLE_QUBIT_LOOPS[gate]))
 
 
 def fast_phase_sequence() -> LoopSequence:

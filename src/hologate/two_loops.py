@@ -3,7 +3,8 @@
 In the cone cosine c = cos(theta) in (-1, 0) of the (w/D, phi) coordinates,
 c = -sqrt(1 - D/w), the loop gate is G = -exp(i pi c n.sigma) with axis
 n = (s cos phi, s sin phi, c), s = sqrt(1 - c^2): the SU(2) scalars
-(-cos(pi c), -sin(pi c) n). A target U (an SU(2) quaternion, up to sign) is
+(-cos(pi c), -sin(pi c) n) (`propagation._cone_loop`; `_compose` multiplies
+them). A target U (an SU(2) quaternion, up to sign) is
 G2 G1 exactly when G2 = +-U G1^dag is a loop gate. Its scalar part w fixes
 c2 = -acos(-w)/pi, and its axis must lie on that cone, n2z = c2:
 
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from .model import TWO_PI
-from .synthesis import _trace_coefficients
+from .propagation import _compose, _cone_loop, _trace_coefficients
 
 
 #: Samples per axis of the grid over the first loop's (cone cosine, azimuth)
@@ -37,28 +38,15 @@ class _Arrays:
 
 
 class _Floats:
-    cos, sin, sqrt, acos = math.cos, math.sin, math.sqrt, math.acos
+    sqrt, acos = math.sqrt, math.acos
     clip = staticmethod(lambda w: min(1.0, max(-1.0, w)))
-
-
-def _cone_loop(c, phi, m=_Floats):
-    """(w, vx, vy, vz) of the loop gate of cone cosine c < 0 and azimuth phi;
-    `propagation._loop_quaternion(acos(c), phi)`."""
-    a = -m.sin(math.pi * c)
-    r = a * m.sqrt(1.0 - c * c)
-    return -m.cos(math.pi * c), r * m.cos(phi), r * m.sin(phi), a * c
 
 
 def _partner(q, g, first: bool):
     """The other loop of a pair whose product G2 G1 is q: q g^dag when g is
     the first loop, g^dag q when it is the second."""
-    s = 1.0 if first else -1.0
-    w, x, y, z = q
-    gw, gx, gy, gz = g
-    return (w * gw + x * gx + y * gy + z * gz,
-            gw * x - w * gx + s * (y * gz - z * gy),
-            gw * y - w * gy + s * (z * gx - x * gz),
-            gw * z - w * gz + s * (x * gy - y * gx))
+    inverse = (g[0], -g[1], -g[2], -g[3])
+    return _compose(q, inverse) if first else _compose(inverse, q)
 
 
 def _loop_mismatch(g, m=_Floats):
@@ -161,6 +149,9 @@ class _TwoLoops:
     def __init__(self, target: np.ndarray, bounds):
         self.q = _su2_quaternion(target)
         self.bounds = bounds
+        # not -sqrt((r - 1) / r), though that has no cancellation: ties between
+        # exact pairs of equal gate length fall to rounding, and that 3e-14
+        # shift of the lower bound alone changes about half of all picks
         self.boxes = tuple((-math.sqrt(1.0 - 1.0 / rhi), -math.sqrt(1.0 - 1.0 / rlo), plo, phi)
                            for (rlo, rhi), (plo, phi) in (bounds[0:2], bounds[2:4]))
 

@@ -27,8 +27,8 @@ from hologate.propagation import (
     ODE_MAX_STEPS,
     ODE_STEPS_PER_PERIOD,
     _TAYLOR_NORM,
+    _cone_loop,
     _evolve,
-    _loop_quaternion,
     _ode_steps,
     _stacks,
     _step_exponentials,
@@ -482,7 +482,7 @@ class TestSingleQubitLoopGate:
 
     @pytest.mark.parametrize("theta,phi", [(2.2, 0.7), (np.pi / 2, 1.0), (0.5, 5.5)])
     def test_matrix_is_the_quaternion(self, theta, phi):
-        w, vx, vy, vz = _loop_quaternion(theta, phi)
+        w, vx, vy, vz = _cone_loop(np.cos(theta), phi)
         expected = w * PAULI_1Q["I"] + 1j * (
             vx * PAULI_1Q["X"] + vy * PAULI_1Q["Y"] + vz * PAULI_1Q["Z"]
         )
@@ -494,6 +494,21 @@ class TestSingleQubitLoopGate:
                 single_qubit_loop_gate(theta, 0.0)
         with pytest.raises(ValidationError):
             loop_params(0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "b", None, True])
+    def test_bad_number_rejected(self, bad):
+        for args in ((2.2, bad), (bad, 0.3)):
+            with pytest.raises(ValidationError):
+                single_qubit_loop_gate(*args)
+            with pytest.raises(ValidationError):
+                loop_params(*args)
+        with pytest.raises(ValidationError):
+            loop_params(2.2, 0.3, delta=bad)
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 2.2, 0.5])
+    def test_zero_detuning_rejected(self, theta):
+        with pytest.raises(ValidationError):
+            loop_params(theta, 0.3, delta=0.0)
 
 
 def test_sequence_propagator_order(rng):

@@ -19,7 +19,7 @@ from hologate import (
     unitary_fidelity,
 )
 from hologate import single_qubit_loop_gate, tables
-from hologate.propagation import sequence_evolution
+from hologate.propagation import _cone_loop, sequence_evolution
 from hologate.synthesis import (
     _NM_OPTIONS,
     _NM_OPTIONS_2Q,
@@ -38,7 +38,6 @@ from hologate.synthesis import (
 from hologate.two_loops import (
     _Arrays,
     _bracket_root,
-    _cone_loop,
     _loop_mismatch,
     _partner,
     _TwoLoops,
@@ -87,7 +86,8 @@ class TestClosedFormCost:
     def matrix_cost(target, x):
         u = np.eye(2, dtype=complex)
         for ratio, phi in zip(x[0::2], x[1::2]):
-            theta = np.pi - np.arcsin(1.0 / np.sqrt(max(ratio, 1.0 + 1e-12)))
+            r = max(ratio, 1.0 + 1e-12)
+            theta = np.arccos(-np.sqrt((r - 1.0) / r))
             u = single_qubit_loop_gate(theta, phi) @ u
         return 1.0 - unitary_fidelity(target, u)
 
@@ -120,6 +120,67 @@ class TestClosedFormCost:
             cost = _closed_form_cost(target, n_loops)
             for x in self.points(rng, n_loops):
                 assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
+
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.0 + 1e-4])
+    @pytest.mark.parametrize("n_loops", [1, 2, 3])
+    def test_near_resonance_matches_the_propagator(self, ratio, n_loops, rng):
+        # the cone cosine -sqrt((ratio - 1) / ratio) has no cancellation at
+        # the lower ratio bound, where a cone angle pi - asin(1 / sqrt(ratio))
+        # loses ~1e-13
+        for name in ("X", "H", "T"):
+            target = named_gate(name)
+            cost = _closed_form_cost(target, n_loops)
+            for _ in range(10):
+                x = np.empty(2 * n_loops)
+                x[0::2] = ratio
+                x[1::2] = rng.uniform(0.0, TWO_PI, n_loops)
+                u, _ = sequence_evolution(single_qubit_sequence_from_vector(x))
+                assert abs(cost(x) - (1.0 - unitary_fidelity(target, u))) <= 1e-14
+
+
+class TestLoopAlgebraLayout:
+    """One definition of each piece of single-qubit loop algebra, in
+    `propagation`, with the two-loop solver loaded on first use only."""
+
+    @staticmethod
+    def trees():
+        import ast
+        from pathlib import Path
+
+        import hologate
+
+        return {p.name: ast.parse(p.read_text())
+                for p in Path(hologate.__file__).parent.glob("*.py")}
+
+    def test_import_leaves_the_solver_unloaded(self):
+        import subprocess
+        import sys
+
+        script = "import sys, hologate; print('hologate.two_loops' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_solver_does_not_import_synthesis(self):
+        import ast
+
+        for node in ast.walk(self.trees()["two_loops.py"]):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not [n for n in names if "synthesis" in n.split(".")], names
+
+    def test_one_definition_of_each_loop_helper(self):
+        import ast
+
+        defs = {}
+        for name, tree in self.trees().items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    defs.setdefault(node.name, []).append(name)
+        assert "_loop_quaternion" not in defs
+        for name in ("_cone_loop", "_compose", "_loop_pulse", "_trace_coefficients"):
+            assert defs[name] == ["propagation.py"], name
 
 
 class TestTwoQubitCosts:
