@@ -131,8 +131,10 @@ def _rotation(axis: str, angle: float) -> np.ndarray:
     return unitary_exp(PAULI_1Q[axis], angle / 2.0)
 
 
-#: The single-qubit benchmarking set: identity plus x/y quarter- and
-#: half-turns, all mapping Pauli operators to signed Pauli operators.
+#: The generators of the single-qubit Clifford group: identity plus x/y
+#: quarter- and half-turns, all mapping Pauli operators to signed Pauli
+#: operators. They are not closed under products; benchmarking draws from the
+#: 24-element group they generate, `CLIFFORD_1Q_GROUP_PTM`.
 CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
     ("I", np.eye(2, dtype=complex)),
     ("Rx(+pi/2)", _rotation("X", np.pi / 2)),
@@ -144,6 +146,32 @@ CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
 
 #: Transfer matrices of `CLIFFORD_1Q`, stacked in the same order.
 CLIFFORD_1Q_PTM: np.ndarray = _unitary_transfers(np.stack([u for _, u in CLIFFORD_1Q]))
+
+
+def _closure(generators: np.ndarray) -> np.ndarray:
+    """The group generated by a stack of signed-permutation transfer
+    matrices: the generators, then each element found so far times each
+    generator, in order of discovery. Rounded to integers, every product is
+    exact."""
+    gens = np.rint(generators).astype(np.int64)
+    group = list(gens)
+    seen = {g.tobytes() for g in group}
+    for a in group:  # grows while it is walked: a breadth-first closure
+        for g in gens:
+            b = a @ g
+            key = b.tobytes()
+            if key not in seen:
+                seen.add(key)
+                group.append(b)
+    return np.stack(group).astype(float)
+
+
+#: Transfer matrices of the 24-element single-qubit Clifford group, exact
+#: signed permutations, `CLIFFORD_1Q_PTM` (rounded) first. Randomized
+#: benchmarking draws from it: twirling over a group that is a unitary
+#: 2-design turns any error channel into a depolarizing one, which is what
+#: the single-exponential decay model assumes.
+CLIFFORD_1Q_GROUP_PTM: np.ndarray = _closure(CLIFFORD_1Q_PTM)
 
 
 @dataclass(frozen=True)
@@ -337,7 +365,8 @@ def rb_run(
 ) -> RBRun:
     """Reference and interleaved randomized benchmarking on the Z observable.
 
-    Each sequence draws m gates uniformly from `CLIFFORD_1Q`, optionally
+    Each sequence draws m gates uniformly from the 24-element Clifford
+    group (`CLIFFORD_1Q_GROUP_PTM`), optionally
     interleaves the target after each one, appends the exact inverse of the
     intended sequence as the recovery gate, and records <Z>. A depolarizing
     channel of strength `eps_clifford` follows every Clifford (and the
@@ -350,8 +379,11 @@ def rb_run(
     gates are chained with batched products over all sequences of one
     length, the recovery is the transpose of the intended product (the
     transfer matrix of a unitary is orthogonal), and the survival is the
-    [Z, Z] entry of implementation, recovery, then depolarizing. Sequence
-    draws are seeded per (seed, variant, m, sequence).
+    [Z, Z] entry of implementation, recovery, then depolarizing. Each
+    (variant, m) takes one generator, `np.random.default_rng([seed, v, i])`
+    with v = 0 for the reference and 1 for the interleaved variant and i the
+    index of m in `m_values`, and draws all its sequences from it at once, one
+    row of m group indices per sequence.
 
     `target` may be a gate name, an explicit unitary (finite and unitary
     within 1e-8, as `UnitaryChannel` checks), or a LoopSequence (its
@@ -375,12 +407,8 @@ def rb_run(
         that draws Clifford k."""
         means, errs = [], []
         for mi, m in enumerate(m_values):
-            draws = np.stack([
-                np.random.default_rng(
-                    np.random.SeedSequence([seed, 1 if interleave else 0, mi, si])
-                ).integers(0, len(CLIFFORD_1Q), size=m)
-                for si in range(n_sequences)
-            ])
+            draws = np.random.default_rng([seed, int(interleave), mi]).integers(
+                0, len(CLIFFORD_1Q_GROUP_PTM), size=(n_sequences, m))
             recovery = np.swapaxes(_ordered_product(intended[draws], first_on_left=True), 1, 2)
             vals = (_ordered_product(noisy[draws], first_on_left=True)
                     @ recovery @ dep_clifford)[:, z, z]
@@ -398,10 +426,10 @@ def rb_run(
             converged=ok,
         )
 
-    noisy_clifford = CLIFFORD_1Q_PTM @ dep_clifford
-    reference = run_variant(False, noisy_clifford, CLIFFORD_1Q_PTM)
+    noisy_clifford = CLIFFORD_1Q_GROUP_PTM @ dep_clifford
+    reference = run_variant(False, noisy_clifford, CLIFFORD_1Q_GROUP_PTM)
     interleaved = None if target is None else run_variant(
-        True, noisy_clifford @ (impl @ dep_target), CLIFFORD_1Q_PTM @ ideal)
+        True, noisy_clifford @ (impl @ dep_target), CLIFFORD_1Q_GROUP_PTM @ ideal)
     return RBRun(reference=reference, interleaved=interleaved)
 
 

@@ -310,7 +310,10 @@ def loop_params(theta: float, phi: float, delta: float = 1.0) -> PulseParams:
     Cone angles above pi/2 use positive detuning (delta); at and below pi/2
     the detuning and drive frequency flip sign (reversed precession). At
     exactly pi/2 the drive vanishes and the loop reduces to a bare
-    -identity. theta must lie strictly inside (0, pi); delta must not be 0.
+    -identity. That undriven loop is the one exception to the zero
+    dynamical phase: its invariant vanishes, its frame is the sigma_z basis
+    of H(0), and its phase is all dynamical, `phases(...).gamma_dynamical`
+    = (pi, -pi). theta must lie strictly inside (0, pi); delta must not be 0.
     """
     theta, phi, delta = _number(theta, "theta"), _number(phi, "phi"), _number(delta, "delta")
     if not 0.0 < theta < np.pi:

@@ -241,7 +241,12 @@ def _phase_penalty(gd: np.ndarray) -> float:
 
 
 def single_qubit_sequence_from_vector(x: Sequence[float]) -> LoopSequence:
-    """Reduced coordinates (w/D, phi) per loop to pulses with D = 1."""
+    """Reduced coordinates (w/D, phi) per loop to the zero-dynamical-phase
+    loops of `_loop_pulse` with D = 1. The one exception is ratio 1 (search
+    bounds must exceed it, but a caller's vector may hold it): the drive
+    vanishes, and the loop is a bare -identity whose
+    `phases(...).gamma_dynamical` is (pi, -pi), as `loop_params` at
+    theta = pi/2."""
     return LoopSequence(tuple(_loop_pulse(float(x[k]), float(x[k + 1]), 1.0)
                               for k in range(0, len(x), 2)))
 

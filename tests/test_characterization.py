@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import sys
 import warnings
@@ -28,7 +30,8 @@ from hologate import (
     unitary_exp,
 )
 from hologate import linalg, synthesis, tables
-from hologate.characterization import CLIFFORD_1Q_PTM, FLAT_SPAN, SLOWEST_RATE
+from hologate.characterization import (
+    CLIFFORD_1Q_GROUP_PTM, CLIFFORD_1Q_PTM, FLAT_SPAN, SLOWEST_RATE)
 from hologate.linalg import PAULI_1Q, pauli_basis
 from reference import depolarizing_map, map_transfer, sequence_map, unitary_map
 
@@ -48,17 +51,30 @@ def brute_force_transfer(u: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def clifford_group() -> list[np.ndarray]:
+    """A unitary of each element of `CLIFFORD_1Q_GROUP_PTM`, in its order,
+    found among the words of three generators by brute-force transfer
+    matrices (every element is such a word, since the identity is a
+    generator)."""
+    gens = [u for _, u in CLIFFORD_1Q]
+    words = [a @ b @ c for a, b, c in itertools.product(gens, repeat=3)]
+    transfers = [brute_force_transfer(u) for u in words]
+    return [next(u for u, t in zip(words, transfers) if np.allclose(t, g, rtol=0, atol=1e-14))
+            for g in CLIFFORD_1Q_GROUP_PTM]
+
+
 def density_matrix_rb(impl, ideal, eps_clifford, eps_target, m_values, n_sequences,
                       seed, interleave):
     """Per-m mean and standard error of the Z survival, evolving explicit
-    density matrices through the channel of each seeded sequence."""
-    cliffords = [u for _, u in CLIFFORD_1Q]
+    density matrices through the channel of each seeded sequence. One
+    generator per (seed, variant, m) draws the sequences row by row."""
+    cliffords = clifford_group()
     means, errs = [], []
     for mi, m in enumerate(m_values):
         vals = []
-        for si in range(n_sequences):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(interleave), mi, si]))
+        rng = np.random.default_rng([seed, int(interleave), mi])
+        for _ in range(n_sequences):
             maps, net = [], np.eye(2, dtype=complex)
             for k in rng.integers(0, len(cliffords), size=m):
                 maps += [unitary_map(cliffords[k]), depolarizing_map(eps_clifford)]
@@ -247,6 +263,69 @@ class TestCliffordSet:
                 overlaps = [abs(np.trace(q @ out)) / 2 for q in paulis]
                 assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
 
+    def test_group_table(self):
+        group = CLIFFORD_1Q_GROUP_PTM
+        assert group.shape == (24, 4, 4)
+        # distinct, and every product is an element
+        same = (group[:, None] == group[None]).all(axis=(-2, -1))
+        np.testing.assert_array_equal(same, np.eye(24, dtype=bool))
+        products = group[:, None] @ group[None]
+        assert (products[:, :, None] == group).all(axis=(-2, -1)).any(axis=-1).all()
+        # signed permutations that keep the identity row
+        assert np.isin(group, (-1.0, 0.0, 1.0)).all()
+        np.testing.assert_array_equal(np.abs(group).sum(axis=1), 1.0)
+        np.testing.assert_array_equal(np.abs(group).sum(axis=2), 1.0)
+        np.testing.assert_array_equal(group[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (24, 1)))
+        # the generators come first
+        np.testing.assert_allclose(group[:6], CLIFFORD_1Q_PTM, rtol=0, atol=1e-15)
+        for u, g in zip(clifford_group(), group):
+            np.testing.assert_allclose(brute_force_transfer(u), g, rtol=0, atol=1e-14)
+
+
+def twirl(group: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """Mean of G^T channel G over the transfer matrices G of `group`."""
+    return np.mean(np.swapaxes(group, 1, 2) @ channel @ group, axis=0)
+
+
+class TestTwoDesign:
+    """Twirling over a unitary 2-design makes any channel depolarizing, which
+    the single-exponential RB model assumes."""
+
+    def test_twirl_of_a_unitary_error_is_depolarizing(self, rng):
+        for _ in range(5):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            error = UnitaryChannel(unitary_exp(h + h.conj().T, 0.4)).matrix
+            p = (np.trace(error) - 1.0) / 3.0
+            depolarizing = np.diag([1.0, p, p, p])
+            np.testing.assert_allclose(twirl(CLIFFORD_1Q_GROUP_PTM, error), depolarizing,
+                                       rtol=0, atol=1e-12)
+            # over the six generators alone it is not, which is why
+            # benchmarking draws from the group
+            assert np.abs(twirl(CLIFFORD_1Q_PTM, error) - depolarizing).max() > 1e-2
+
+    def test_interleaved_means_follow_the_exact_curve(self):
+        # one step is "Clifford C, then E", with E = D_c T_impl D_t T_ideal^T
+        # the error against the intended step. The intended product cancels
+        # against the recovery, so the expected [Z, Z] survival at length m
+        # is that of twirl(E)^m then D_c: A p^m + B with p = twirl(E)[Z, Z],
+        # A = 1 - eps_c and B = 0 (the input Z is traceless).
+        eps_c, eps_t = 0.004, 0.002
+        axis = (SX + SZ) / np.sqrt(2.0)
+        u = named_gate("X") @ unitary_exp(axis, 0.15)  # a 0.3 rad over-rotation
+        m_values = (1, 2, 4, 8, 16, 32)
+        run = rb_run(target=u, target_ideal="X", eps_clifford=eps_c, eps_target=eps_t,
+                     m_values=m_values, n_sequences=200, seed=7)
+        error = (DepolarizingChannel(eps_c).matrix @ UnitaryChannel(u).matrix
+                 @ DepolarizingChannel(eps_t).matrix @ UnitaryChannel(named_gate("X")).matrix.T)
+        for record, p in ((run.reference, 1.0 - eps_c),
+                          (run.interleaved, twirl(CLIFFORD_1Q_GROUP_PTM, error)[3, 3])):
+            exact = (1.0 - eps_c) * p ** np.array(m_values)
+            gap = np.abs(np.array(record.mean_fidelity) - exact)
+            assert (gap <= 4.0 * np.array(record.stderr) + 1e-12).all()
+        # the coherent error is resolved: the interleaved curve is not the
+        # reference one
+        assert run.interleaved.mean_fidelity[-1] < run.reference.mean_fidelity[-1] - 0.05
+
 
 def _ssr(m, y, fit):
     a, p, b = fit
@@ -412,6 +491,21 @@ class TestRb:
             np.testing.assert_allclose(record.stderr, errs, rtol=0, atol=1e-12)
         # the miscalibrated target is visibly worse than the ideal gate
         assert run.interleaved.mean_fidelity[-1] < run.reference.mean_fidelity[-1] - 0.01
+
+    def test_one_generator_per_variant_and_length(self, monkeypatch):
+        # one generator per (seed, variant, m), not one per sequence: seeding
+        # per sequence cost most of an rb_run
+        calls, default_rng = [], np.random.default_rng
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        m_values = (2, 4, 8, 16)
+        rb_run(target="X", m_values=m_values, n_sequences=10, seed=3)
+        assert len(calls) == 2 * len(m_values)
+        assert calls == [([3, v, i],) for v in (0, 1) for i in range(len(m_values))]
 
     def test_csv_format(self):
         run = rb_run(m_values=(2, 4), n_sequences=2, seed=0)

@@ -34,7 +34,8 @@ from hologate.propagation import (
     _step_exponentials,
     segment_evolution,
 )
-from hologate.synthesis import TWO_QUBIT_BOUNDS, two_qubit_sequence_from_vector
+from hologate.synthesis import (
+    TWO_QUBIT_BOUNDS, single_qubit_sequence_from_vector, two_qubit_sequence_from_vector)
 from conftest import random_cyclic_params
 from reference import (
     DEFAULT_FRAME_POINTS,
@@ -504,6 +505,20 @@ class TestSingleQubitLoopGate:
                 loop_params(*args)
         with pytest.raises(ValidationError):
             loop_params(2.2, 0.3, delta=bad)
+
+    @pytest.mark.parametrize("seg", [
+        loop_params(np.pi / 2, 0.3),
+        loop_params(np.pi / 2, 1.7, delta=-2.0),
+        single_qubit_sequence_from_vector([1.0, 0.3]).segments[0],
+    ])
+    def test_undriven_loop_is_the_documented_exception(self, seg):
+        # the one loop of the builders without zero dynamical phase: a bare
+        # -identity whose phase is all dynamical
+        assert seg.omega_drive == (0.0,)
+        record = phases(seg)
+        assert record.gamma_dynamical == pytest.approx((np.pi, -np.pi), abs=1e-15)
+        assert record.gamma_geometric == pytest.approx((0.0, 0.0), abs=1e-15)
+        np.testing.assert_allclose(ode_propagator(seg), -np.eye(2), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("theta", [np.pi / 2, 2.2, 0.5])
     def test_zero_detuning_rejected(self, theta):
