@@ -16,13 +16,14 @@ Every other problem is a bounded Nelder-Mead simplex search (`minimize`)
 implemented here with scipy's arithmetic, so no search imports scipy. The
 single-qubit cost reads the fidelity from coefficients of tr(target^dag U)
 computed once per target. Two-qubit synthesis keeps all seven parameters per
-loop and penalizes the dynamical phases; its costs map the parameter vector
-straight to the stacked H(0), frame and duration of every loop and propagate
-them all with one batched `eigh` (`propagation._evolve`), with no
-`PulseParams` per evaluation. The simplex bookkeeping is in plain Python
-floats, since numpy calls on vectors of 2 to 35 entries cost more than the
-single-qubit objective itself; the costs take each vertex as a list of
-floats.
+loop and penalizes the dynamical phases. A cost maps a list of vertices to
+their costs: the simplex hands over the points that do not depend on each
+other in one list, and the two-qubit costs map them straight to the stacked
+H(0), frame and duration of every loop of every vertex and propagate them
+all with one batched `eigh` (`propagation._evolve`), with no `PulseParams`
+per evaluation. The simplex bookkeeping is in plain Python floats, since
+numpy calls on vectors of 2 to 35 entries cost more than the single-qubit
+objective itself; each vertex is a list of floats.
 """
 from __future__ import annotations
 
@@ -75,6 +76,13 @@ TWO_QUBIT_BOUNDS = (
 )
 #: Scores within this of each other are resolved by the tie-break order.
 SCORE_TIE = 1e-9
+
+#: Loops evolved in one stack at most (`_two_qubit_evolution`). A stacked
+#: loop peaks at ~2.1 kB, so a block stays near 2.2 MB, where a 2q initial
+#: simplex of L loops holds (7L + 1) L of them. The time per loop is flat
+#: (5-6 us) from ~200 loops on, so larger blocks gain nothing (x86_64,
+#: 2 CPUs, numpy 2.4).
+STACK_LOOPS = 1024
 
 _NM_OPTIONS = dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
 _NM_OPTIONS_2Q = dict(xatol=1e-8, fatol=1e-11, maxiter=4000, maxfev=8000)
@@ -232,12 +240,7 @@ def objective(target: np.ndarray, seq: LoopSequence, penalty_weight: float) -> f
     """Gate fidelity of the sequence minus the dynamical-phase penalty:
     F(target, prod U_i) - penalty_weight * sum_{i,n} |gd_n(segment i)|."""
     u, gd = sequence_evolution(seq)
-    return unitary_fidelity(target, u) - float(penalty_weight) * _phase_penalty(gd)
-
-
-def _phase_penalty(gd: np.ndarray) -> float:
-    """sum_{i,n} |gd_n(segment i)|."""
-    return float(np.abs(gd).sum())
+    return unitary_fidelity(target, u) - float(penalty_weight) * float(np.abs(gd).sum())
 
 
 def single_qubit_sequence_from_vector(x: Sequence[float]) -> LoopSequence:
@@ -304,25 +307,34 @@ def _closed_form_cost(target: np.ndarray, n_loops: int):
 _SZ_SUM_2Q = _SZ_DIAGONALS[2].sum(axis=0)
 
 
-def _two_qubit_evolution(x, coupling: float):
-    """Gate and per-loop dynamical phases of the two-qubit loops x, as
-    `sequence_evolution(two_qubit_sequence_from_vector(x, coupling))` but
-    read straight off the vector: the bounds, checked before any search,
-    keep every loop buildable, and tau = 2 pi / w makes it cyclic."""
-    v = np.reshape(x, (-1, 7))
+def _two_qubit_evolution(xs, coupling: float):
+    """Gates (k, 4, 4) and per-loop dynamical phases (k, L, 4) of k vertices
+    of L two-qubit loops each, as `sequence_evolution(
+    two_qubit_sequence_from_vector(x, coupling))` per vertex but read
+    straight off the vectors: the bounds, checked before any search, keep
+    every loop buildable, and tau = 2 pi / w makes it cyclic. All k L loops
+    go through one `_evolve`, in blocks of at most `STACK_LOOPS` loops."""
+    k, n_loops = len(xs), len(xs[0]) // 7
+    step = max(1, STACK_LOOPS // n_loops)
+    if k > step:
+        parts = [_two_qubit_evolution(xs[i:i + step], coupling) for i in range(0, k, step)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    v = np.reshape(xs, (-1, 7))
     w = v[:, 2]
     coeffs = _coefficients(v[:, 0:2], v[:, 3:5], v[:, 5:7], coupling)
     _, us, gd = _evolve(_hamiltonians(coeffs, 2), w[:, None] * _SZ_SUM_2Q, TWO_PI / w)
-    return _chain(us), gd
+    return _chain(us.reshape(k, n_loops, 4, 4).swapaxes(0, 1)), gd.reshape(k, n_loops, 4)
 
 
 def _two_qubit_cost(target: np.ndarray, penalty_weight: float, coupling: float):
     d = target.shape[0]
 
-    def cost(x: Sequence[float]) -> float:
-        u, gd = _two_qubit_evolution(x, coupling)
-        # |tr(target^dag U)| / d, the `unitary_fidelity`
-        return 1.0 - abs(np.vdot(target, u)) / d + penalty_weight * _phase_penalty(gd)
+    def cost(xs) -> list:
+        u, gd = _two_qubit_evolution(xs, coupling)
+        # |tr(target^dag U)| / d, the `unitary_fidelity`, one vdot per vertex:
+        # a batched product changes last bits
+        fidelity = np.array([abs(np.vdot(target, g)) for g in u]) / d
+        return (1.0 - fidelity + penalty_weight * np.abs(gd).sum(axis=(1, 2))).tolist()
 
     return cost
 
@@ -356,8 +368,12 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
     in the middle of an iteration), at `maxiter` iterations, or when every
     vertex and its cost lie within xatol and fatol of the best.
 
-    The bookkeeping is in plain Python floats: the simplex is a list of
-    vertex lists, and `fun` is called with a vertex list. Vertices are
+    `fun` maps a list of vertices to their costs. The points that do not
+    depend on each other, the n + 1 vertices of the initial simplex and the
+    n new vertices of a shrink, go to one call; a reflection, expansion or
+    contraction is a list of one. A group that crosses `maxfev` is cut to
+    the points the budget allows. The bookkeeping is in plain Python
+    floats: the simplex is a list of vertex lists. Vertices are
     ordered by a stable sort of their costs; when the costs hold a tie or a
     NaN, by `np.argsort`, as scipy does, since that sort need not be stable
     and so may order tied vertices differently.
@@ -385,12 +401,18 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
     fsim = [math.inf] * (n + 1)
     nfev = 0
 
-    def f(x):
+    def group(xs):
+        """Costs of the leading vertices of xs that the budget still allows,
+        from one call of fun."""
         nonlocal nfev
+        xs = xs[:maxfev - nfev]
+        nfev += len(xs)
+        return list(fun(xs)) if xs else []
+
+    def f(x):
         if nfev >= maxfev:
             raise _BudgetSpent
-        nfev += 1
-        return fun(x)
+        return group([x])[0]
 
     def ordered(sim, fsim):
         order = sorted(range(n + 1), key=fsim.__getitem__)
@@ -400,11 +422,8 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
             costs = list(map(fsim.__getitem__, order))
         return list(map(sim.__getitem__, order)), costs
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
+    costs = group(sim)
+    fsim[:len(costs)] = costs
     sim, fsim = ordered(*ordered(sim, fsim))  # sorted twice, as scipy does
     nit = 1
     while nfev < maxfev and nit < maxiter:
@@ -438,9 +457,16 @@ def minimize(fun, x0, bounds, *, xatol: float, fatol: float, maxiter: int,
                 if not shrink:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
-                    for j in range(1, n + 1):
-                        sim[j] = clip([p + 0.5 * (q - p) for p, q in zip(best, sim[j])])
-                        fsim[j] = f(sim[j])
+                    shrunk = [clip([p + 0.5 * (q - p) for p, q in zip(best, x)])
+                              for x in sim[1:]]
+                    costs = group(shrunk)
+                    k = len(costs)
+                    # scipy moves a vertex before it evaluates it, so the one
+                    # the budget ends on moves and keeps its old cost
+                    sim[1:k + 2] = shrunk[:k + 1]
+                    fsim[1:k + 1] = costs
+                    if k < n:
+                        raise _BudgetSpent
             nit += 1
         except _BudgetSpent:
             pass
@@ -520,7 +546,8 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
         seq = single_qubit_sequence_from_vector(x if found else [lo for lo, _ in bounds])
     else:
         if problem.n_qubits == 1:
-            cost = _closed_form_cost(problem.target, problem.n_loops)
+            one = _closed_form_cost(problem.target, problem.n_loops)
+            cost = lambda xs: [one(x) for x in xs]
             options = _NM_OPTIONS
             sequence_of = single_qubit_sequence_from_vector
         else:
@@ -547,18 +574,27 @@ def synthesize(problem: SynthesisProblem) -> SynthesisResult:
 _PAULI_STACK_2Q = pauli_basis(2)[1]
 
 
+def _correlations(us: np.ndarray) -> np.ndarray:
+    """Pauli correlation matrices (k, 4, 4) of a stack of two-qubit unitaries."""
+    return np.einsum("kab,lba->lk", _PAULI_STACK_2Q, us).reshape(-1, 4, 4)
+
+
 def correlation_matrix(u: np.ndarray) -> np.ndarray:
     """C_ij = tr(U sigma_i x sigma_j) over the 16 two-qubit Pauli pairs."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValidationError("correlation matrix needs a two-qubit unitary")
-    flat = np.einsum("kab,ba->k", _PAULI_STACK_2Q, u)
-    return flat.reshape(4, 4)
+    return _correlations(u[None])[0]
+
+
+def _singular_values(c: np.ndarray) -> np.ndarray:
+    """Ascending singular values of each correlation matrix of a stack."""
+    return np.sort(np.linalg.svd(c, compute_uv=False), axis=-1)
 
 
 def correlation_singular_values(u: np.ndarray) -> np.ndarray:
     """Ascending singular values of the Pauli correlation matrix."""
-    return np.sort(np.linalg.svd(correlation_matrix(u), compute_uv=False))
+    return _singular_values(correlation_matrix(u))
 
 
 def entangling_score(p: PulseParams) -> float:
@@ -573,9 +609,10 @@ def entangling_score(p: PulseParams) -> float:
 
 def _entangler_cost(penalty_weight: float, coupling: float):
     """Entangling score of one loop plus the dynamical-phase penalty."""
-    def cost(x: Sequence[float]) -> float:
-        u, gd = _two_qubit_evolution(x, coupling)
-        return float(correlation_singular_values(u)[1]) + penalty_weight * _phase_penalty(gd)
+    def cost(xs) -> list:
+        u, gd = _two_qubit_evolution(xs, coupling)
+        sv = _singular_values(_correlations(u))
+        return (sv[:, 1] + penalty_weight * np.abs(gd).sum(axis=(1, 2))).tolist()
 
     return cost
 
@@ -607,15 +644,15 @@ def find_entangling(
     cost = _entangler_cost(penalty_weight, coupling)
     candidates = _run_restarts(cost, bounds, seed, restarts, _NM_OPTIONS_2Q, max_evals)
 
+    xs = [x for _, x in candidates]
+    u, gd = _two_qubit_evolution(xs, coupling)
+    sv = _singular_values(_correlations(u)).tolist()
     best = None  # (key, x, m, max_gd)
-    for _, x in candidates:
-        u, gd = _two_qubit_evolution(x, coupling)
-        sv = correlation_singular_values(u)
-        m, s2 = float(sv[1]), float(sv[2])
+    for x, (_, m, s2, _), max_gd in zip(xs, sv, np.abs(gd).max(axis=(1, 2)).tolist()):
         accepted = not s2 < SEPARABLE_S2 and m < score_tol
         key = (accepted, -m)
         if best is None or key > best[0]:
-            best = (key, x, m, float(np.abs(gd).max()))
+            best = (key, x, m, max_gd)
     _, x, m, max_gd = best
     seq = two_qubit_sequence_from_vector(x, coupling)
     return SynthesisResult(

@@ -46,6 +46,16 @@ from hologate.two_loops import (
 TWO_PI = 2.0 * np.pi
 
 
+def each(cost):
+    """A cost of one vertex as a cost of a list of vertices."""
+    return lambda xs: [cost(x) for x in xs]
+
+
+#: Bounds within +-0.3 of the published entangler row, inside the defaults.
+ENTANGLER_WINDOW = tuple((max(v - 0.3, lo), v + 0.3)
+                         for v, (lo, _) in zip(tables.ENTANGLER_ROW, TWO_QUBIT_BOUNDS))
+
+
 def cnot_window(pad):
     """Bounds within +-pad of the published CNOT rows, floored at zero."""
     return tuple((max(v - pad, 0.0), v + pad) for row in tables.CNOT_ROWS for v in row)
@@ -208,14 +218,14 @@ class TestTwoQubitCosts:
         for x in self.points(rng, 5):
             u, penalty = self.reference(x, coupling)
             expected = 1.0 - unitary_fidelity(target, u) + 10.0 * penalty
-            assert cost(x) == pytest.approx(expected, rel=0, abs=1e-13)
+            assert cost([x])[0] == pytest.approx(expected, rel=0, abs=1e-13)
 
     def test_entangler_cost(self, rng):
         cost = _entangler_cost(10.0, 1.0)
         for x in self.points(rng, 1):
             u, penalty = self.reference(x, 1.0)
             expected = correlation_singular_values(u)[1] + 10.0 * penalty
-            assert cost(x) == pytest.approx(expected, rel=0, abs=1e-13)
+            assert cost([x])[0] == pytest.approx(expected, rel=0, abs=1e-13)
 
 
 class TestSimplex:
@@ -223,10 +233,13 @@ class TestSimplex:
 
     @staticmethod
     def compare(cost, x0, bounds, options):
+        """`cost` maps a list of vertices to their costs; scipy gets it one
+        vertex at a time."""
         from scipy.optimize import minimize as scipy_minimize
 
         ours = minimize(cost, x0, bounds, **options)
-        ref = scipy_minimize(cost, x0, method="Nelder-Mead", bounds=bounds, options=options)
+        ref = scipy_minimize(lambda x: cost([x])[0], x0, method="Nelder-Mead",
+                             bounds=bounds, options=options)
         assert ours.x.tobytes() == ref.x.tobytes()
         assert ours.fun == ref.fun or math.isnan(ours.fun) and math.isnan(ref.fun)
         assert (ours.nfev, ours.nit) == (ref.nfev, ref.nit)
@@ -239,7 +252,8 @@ class TestSimplex:
         lo, hi = np.array(bounds).T
         cost = _closed_form_cost(named_gate(name), n_loops)
         for seed in range(3):
-            self.compare(cost, np.random.default_rng(seed).uniform(lo, hi), bounds, _NM_OPTIONS)
+            self.compare(each(cost), np.random.default_rng(seed).uniform(lo, hi), bounds,
+                         _NM_OPTIONS)
 
     @pytest.mark.parametrize("corner", ["upper", "lower"])
     def test_start_on_a_bound(self, corner):
@@ -247,12 +261,12 @@ class TestSimplex:
         # at the lower bound phi = 0 gets the absolute step
         bounds = SINGLE_QUBIT_BOUNDS * 2
         x0 = np.array(bounds)[:, 1 if corner == "upper" else 0]
-        self.compare(_closed_form_cost(named_gate("H"), 2), x0, bounds, _NM_OPTIONS)
+        self.compare(each(_closed_form_cost(named_gate("H"), 2)), x0, bounds, _NM_OPTIONS)
 
     def test_shrink_step(self):
         bounds = SINGLE_QUBIT_BOUNDS
         x0 = np.random.default_rng(0).uniform(*np.array(bounds).T)
-        res = self.compare(_closed_form_cost(named_gate("X"), 1), x0, bounds, _NM_OPTIONS)
+        res = self.compare(each(_closed_form_cost(named_gate("X"), 1)), x0, bounds, _NM_OPTIONS)
         # without a shrink an iteration spends at most two evaluations
         assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
 
@@ -267,7 +281,8 @@ class TestSimplex:
         lo, hi = np.array(bounds).T
         options = _NM_OPTIONS | {"maxfev": 300, "maxiter": 300}
         for seed in range(40):
-            self.compare(plateau, np.random.default_rng(seed).uniform(lo, hi), bounds, options)
+            self.compare(each(plateau), np.random.default_rng(seed).uniform(lo, hi), bounds,
+                         options)
 
     def test_nan_costs(self):
         # NaN costs sort last, as np.argsort puts them
@@ -276,9 +291,10 @@ class TestSimplex:
         cost = _closed_form_cost(named_gate("H"), 2)
         holed = lambda x: math.nan if x[1] > 3.0 else cost(x)
         for seed in range(10):
-            self.compare(holed, np.random.default_rng(seed).uniform(lo, hi), bounds, _NM_OPTIONS)
+            self.compare(each(holed), np.random.default_rng(seed).uniform(lo, hi), bounds,
+                         _NM_OPTIONS)
 
-    @pytest.mark.parametrize("max_evals", [5, 37, 120])
+    @pytest.mark.parametrize("max_evals", [5, 36, 37, 120])
     def test_cnot_cost(self, max_evals):
         bounds = cnot_window(0.03)
         cost = _two_qubit_cost(named_gate("CNOT"), 10.0, tables.TWO_QUBIT_TABLE_COUPLING)
@@ -287,14 +303,114 @@ class TestSimplex:
         res = self.compare(cost, x0, bounds, options)
         assert res.nfev == max_evals
 
-    @pytest.mark.parametrize("max_evals", [3, 20, 400])
+    @pytest.mark.parametrize("max_evals", [3, 8, 20, 400])
     def test_entangler_cost(self, max_evals):
-        bounds = tuple((max(v - 0.3, lo), v + 0.3)
-                       for v, (lo, _) in zip(tables.ENTANGLER_ROW, TWO_QUBIT_BOUNDS))
+        bounds = ENTANGLER_WINDOW
         cost = _entangler_cost(10.0, tables.TWO_QUBIT_TABLE_COUPLING)
         x0 = np.random.default_rng(max_evals).uniform(*np.array(bounds).T)
         options = _NM_OPTIONS_2Q | {"maxfev": max_evals, "maxiter": max_evals}
         self.compare(cost, x0, bounds, options)
+
+    @staticmethod
+    def spy(cost, sizes):
+        """cost, appending the size of each group it is called with to sizes."""
+        def spied(xs):
+            sizes.append(len(xs))
+            return cost(xs)
+
+        return spied
+
+    @pytest.mark.parametrize("kind", ["entangler", "cnot"])
+    def test_budget_ends_inside_a_shrink(self, kind):
+        # a shrink's n new vertices are one group; a budget that ends inside
+        # it evaluates the leading ones, and the next one moves but keeps its
+        # old cost, as in scipy
+        if kind == "entangler":
+            bounds, seed = ENTANGLER_WINDOW, 3
+            cost = _entangler_cost(10.0, tables.TWO_QUBIT_TABLE_COUPLING)
+        else:
+            bounds, seed = TWO_QUBIT_BOUNDS * 5, 0
+            cost = _two_qubit_cost(named_gate("CNOT"), 10.0, tables.TWO_QUBIT_TABLE_COUPLING)
+        n = len(bounds)
+        x0 = np.random.default_rng(seed).uniform(*np.array(bounds).T)
+        sizes = []
+        minimize(self.spy(cost, sizes), x0, bounds, **_NM_OPTIONS_2Q | {"maxfev": 700})
+        assert sizes[0] == n + 1
+        first = sizes.index(n, 1)  # the first shrink
+        before = sum(sizes[:first])
+        for cut in (0, 1, n - 1, n):
+            options = _NM_OPTIONS_2Q | {"maxfev": before + cut}
+            assert self.compare(cost, x0, bounds, options).nfev == before + cut
+            sizes = []
+            minimize(self.spy(cost, sizes), x0, bounds, **options)
+            assert len(sizes) == first + (cut > 0) and sizes[-1] == (cut or 1)
+
+    def test_groups_of_a_cnot_search(self, monkeypatch):
+        # a search-2q CNOT search: 36 evaluations of the initial simplex go
+        # to the cost at once, then one per reflection, expansion or contraction
+        from hologate import synthesis
+
+        sizes, make = [], synthesis._two_qubit_cost
+        monkeypatch.setattr(synthesis, "_two_qubit_cost",
+                            lambda *args: self.spy(make(*args), sizes))
+        synthesize(SynthesisProblem(
+            target=named_gate("CNOT"), n_qubits=2, n_loops=5, restarts=1,
+            bounds=cnot_window(0.03), coupling=tables.TWO_QUBIT_TABLE_COUPLING, max_evals=40))
+        assert sizes == [36, 1, 1, 1, 1]
+
+
+class TestStackedEvolution:
+    """A group of vertices goes through one stacked evolution, in blocks of
+    at most `STACK_LOOPS` loops, with the bits of one vertex at a time."""
+
+    @staticmethod
+    def vertices(rng, n_loops, k):
+        lo, hi = np.array(TWO_QUBIT_BOUNDS * n_loops).T
+        return [rng.uniform(lo, hi).tolist() for _ in range(k)]
+
+    @pytest.mark.parametrize("block", [1, 7, 12, 64])
+    def test_split_blocks_are_bitwise_equal(self, block, rng, monkeypatch):
+        from hologate import synthesis
+
+        cnot = _two_qubit_cost(named_gate("CNOT"), 10.0, 1.0)
+        ent = _entangler_cost(10.0, 1.0)
+        xs5, xs1 = self.vertices(rng, 5, 36), self.vertices(rng, 1, 50)
+        whole = [np.array(c).tobytes() for c in (cnot(xs5), ent(xs1))]
+        monkeypatch.setattr(synthesis, "STACK_LOOPS", block)
+        assert [np.array(c).tobytes() for c in (cnot(xs5), ent(xs1))] == whole
+        alone = [[cost([x])[0] for x in xs] for cost, xs in ((cnot, xs5), (ent, xs1))]
+        assert [np.array(c).tobytes() for c in alone] == whole
+        # the rescoring's stacked singular values are the public ones row by row
+        u, _ = synthesis._two_qubit_evolution(xs1, 1.0)
+        stacked = synthesis._singular_values(synthesis._correlations(u))
+        assert stacked.tobytes() == np.array([correlation_singular_values(g) for g in u]).tobytes()
+
+    def test_memory_of_a_large_group_is_bounded(self, rng, monkeypatch):
+        # the initial simplex of 60 loops holds 421 x 60 = 25,260 loops; in
+        # one stack it would peak near 47 MB
+        import tracemalloc
+
+        from hologate import synthesis
+
+        n_loops = 60
+        xs = self.vertices(rng, n_loops, 7 * n_loops + 1)
+        cost = _two_qubit_cost(named_gate("CNOT"), 10.0, 1.0)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                cost(xs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a block of loops peaks near 2.1 kB each; the gates and phases of
+        # every vertex are kept, and copied once when the blocks are joined
+        outputs = len(xs) * (16 * 16 + n_loops * 4 * 8)
+        bound = synthesis.STACK_LOOPS * 2500 + 2 * outputs
+        assert peak() < bound
+        monkeypatch.setattr(synthesis, "STACK_LOOPS", 10 ** 9)
+        assert peak() > 10 * bound
 
 
 def random_unitary(rng):
@@ -367,7 +483,7 @@ class TestTwoLoopsExact:
     def test_no_simplex_pick_is_shorter(self, name):
         target = named_gate(name)
         exact = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2)).gate_length
-        cost = _closed_form_cost(target, 2)
+        cost = each(_closed_form_cost(target, 2))
         for seed in range(5):
             x, seq = _pick_best(_run_restarts(cost, self.BOUNDS, seed, 16, _NM_OPTIONS),
                                 single_qubit_sequence_from_vector)
@@ -400,7 +516,7 @@ class TestTwoLoopsExact:
             assert _closed_form_cost(target, 2)(x) <= 1e-14
             # every converged simplex pick inside the same bounds is at least as long
             cost = _closed_form_cost(target, 2)
-            x_s, seq = _pick_best(_run_restarts(cost, bounds, 0, 4, _NM_OPTIONS),
+            x_s, seq = _pick_best(_run_restarts(each(cost), bounds, 0, 4, _NM_OPTIONS),
                                   single_qubit_sequence_from_vector)
             if cost(x_s) <= 1e-12:
                 assert gate_length(seq) >= result.gate_length - 1e-5
