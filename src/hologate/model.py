@@ -253,6 +253,21 @@ def _operator_table(n: int) -> np.ndarray:
 
 
 _OPERATORS = {n: _operator_table(n) for n in (1, 2, 3)}
+
+
+def _embedded_table(n: int) -> np.ndarray:
+    """The real embedding [[Re X, -Im X], [Im X, Re X]] of X = -i op for
+    every row op of `_OPERATORS[n]`, flattened into the rows of one read-only
+    (k, 4 d*d) table: coefficient rows c give the embedding of -i H as
+    c @ table, since the embedding is real-linear."""
+    d = 2 ** n
+    x = -1j * _OPERATORS[n].reshape(-1, d, d)
+    table = np.block([[x.real, -x.imag], [x.imag, x.real]]).reshape(len(x), -1)
+    table.setflags(write=False)
+    return table
+
+
+_EMBEDDED_GENERATORS = {n: _embedded_table(n) for n in (1, 2, 3)}
 #: Diagonals of sz_i, one row per wire: Z = sum_i w_i sz_i has diagonal w @ rows.
 _SZ_DIAGONALS = {n: np.array([np.diag(op).real for op in _WIRE_PAULIS[n][2]]) for n in (1, 2, 3)}
 
@@ -279,12 +294,16 @@ def _hamiltonians(coeffs: np.ndarray, n: int) -> np.ndarray:
     return (coeffs @ _OPERATORS[n]).reshape(-1, d, d)
 
 
-def hamiltonian_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
-    """H(t) stacked over a time grid, shape (len(times), d, d)."""
+def _path_coefficients(p: PulseParams, times: Sequence[float]) -> np.ndarray:
+    """Coefficient rows of H(t) on `_OPERATORS[p.n]`, one per time."""
     angle = np.multiply.outer(np.asarray(times, dtype=float), p.omega_rot) + p.phase
     coupling = np.array([p.couplings.get(pair, 0.0) for pair in _PAIRS[p.n]])
-    coeffs = _coefficients(np.array(p.omega_drive), angle, np.array(p.detuning), coupling)
-    return _hamiltonians(coeffs, p.n)
+    return _coefficients(np.array(p.omega_drive), angle, np.array(p.detuning), coupling)
+
+
+def hamiltonian_path(p: PulseParams, times: Sequence[float]) -> np.ndarray:
+    """H(t) stacked over a time grid, shape (len(times), d, d)."""
+    return _hamiltonians(_path_coefficients(p, times), p.n)
 
 
 def frame_frequencies(p: PulseParams) -> np.ndarray:

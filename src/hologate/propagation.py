@@ -9,11 +9,13 @@ segment gd_n = -tau <u_n|H(0)|u_n> and gg_n = (tau / 2) <u_n|Z|u_n> +
 arg <u_n|R(tau)|u_n> (the Aharonov-Anandan phase): one small `eigh` each.
 
 The oracle uses none of that: `ode_propagator` integrates the lab-frame H(t)
-with a fourth-order commutator-free Magnus scheme. Its step exponentials are
-closed form for one qubit and scaled Taylor series above, multiplied in real
-2d x 2d arithmetic with no `eigh`. The tests keep two references
-(`tests/reference.py`): the same scheme with `eigh` step exponentials, and
-the invariant eigenframe sampled and parallel-transported on a time grid.
+with a fourth-order commutator-free Magnus scheme. It combines each step's
+generators on H's real coefficient rows and forms every factor straight in
+its real 2d x 2d embedding: closed form for one qubit, a scaled Taylor series
+above, with no `eigh`, multiplied in that real arithmetic. The tests keep two
+references (`tests/reference.py`): the same scheme with `eigh` step
+exponentials, and the invariant eigenframe sampled and parallel-transported
+on a time grid.
 
 Single-qubit loops have one builder (`_loop_pulse`), one gate formula in the
 cone cosine c = cos(theta) (`_cone_loop`) and one SU(2) product (`_compose`).
@@ -27,9 +29,11 @@ import numpy as np
 
 from .linalg import PAULI_1Q, ValidationError, _integer, _number, _ordered_product
 from .model import (
+    _EMBEDDED_GENERATORS,
     TWO_PI,
     LoopSequence,
     PulseParams,
+    _path_coefficients,
     frame_frequencies,
     hamiltonian_path,
 )
@@ -39,9 +43,10 @@ ODE_STEPS_PER_PERIOD = 256
 #: ... and per unit of tau * ||H||, with ||H|| bounded by
 #: sum |W_i| / 2 + sum |D_i| / 2 + sum |J_ij| / 4; the larger count is used.
 ODE_STEPS_PER_ACTION = 16
-#: Most steps `ode_propagator` takes, by default or on request. It holds
-#: about 0.7, 4 and 16 kB per step on one, two and three qubits, so its peak
-#: stays near 1.1 GB at most; a published table segment takes 256 steps.
+#: Most steps `ode_propagator` takes, by default or on request. Its peak
+#: (tracemalloc) is about 0.45, 3.2 and 12.3 KiB per step on one, two and
+#: three qubits, so it stays near 0.8 GiB at most; a published table segment
+#: takes 256 steps.
 ODE_MAX_STEPS = 2 ** 16
 #: Relative gap below which invariant (or H_eff) eigenvalues are degenerate.
 DEGENERACY_RTOL = 1e-7
@@ -162,17 +167,21 @@ def phases(p: PulseParams) -> PhaseRecord:
     alpha = gg + gd (mod 2pi) to about 1e-15 by construction: a consistency
     value, not an oracle check (`ode_propagator` is the oracle).
     """
-    h0, z, tau = _stacks((p,))
-    vecs, u, gd = (a[0] for a in _evolve(h0, z, tau))
-    z, tau = z[0], tau[0]
+    return _phase_records((p,))[0]
+
+
+def _phase_records(segments) -> list[PhaseRecord]:
+    """`phases` of every cyclic segment, from one stacked `_evolve`."""
+    h0, z, tau = _stacks(segments)
+    vecs, u, gd = _evolve(h0, z, tau)
     weights = np.abs(vecs) ** 2  # |<b|u_n>|^2: Z and R(tau) are diagonal
-    gg = np.angle((np.exp(-0.5j * tau * z) @ weights) * np.exp(0.5j * tau * (z @ weights)))
-    alpha = np.angle(np.einsum("ik,ij,jk->k", vecs.conj(), u, vecs))
-    return PhaseRecord(
-        alpha_total=tuple(float(a) for a in alpha),
-        gamma_geometric=tuple(float(g) for g in gg),
-        gamma_dynamical=tuple(float(g) for g in gd),
-    )
+    r = np.exp(-0.5j * tau[:, None] * z)
+    gg = np.angle((r[:, None, :] @ weights)[:, 0]
+                  * np.exp(0.5j * tau[:, None] * (z[:, None, :] @ weights)[:, 0]))
+    alpha = np.angle(np.einsum("lik,lij,ljk->lk", vecs.conj(), u, vecs))
+    return [PhaseRecord(alpha_total=tuple(a.tolist()), gamma_geometric=tuple(g.tolist()),
+                        gamma_dynamical=tuple(d.tolist()))
+            for a, g, d in zip(alpha, gg, gd)]
 
 
 #: Gauss nodes c and weights a1, a2 of the two-exponential fourth-order
@@ -199,40 +208,41 @@ def _ode_steps(p: PulseParams) -> int:
                math.ceil(ODE_STEPS_PER_ACTION * norm * p.duration))
 
 
-def _step_exponentials(g: np.ndarray) -> np.ndarray:
-    """exp(-i g) for a stack (L, d, d) of Hermitian step generators g = dt G,
-    as real (L, 2d, 2d) embeddings [[Re X, -Im X], [Im X, Re X]] of X = -i g.
-    The embedding keeps products, so the factors multiply in real arithmetic.
+def _step_exponentials(rows: np.ndarray, n: int) -> np.ndarray:
+    """E = exp(X) for the step generators X = -i g, g = sum_k rows[:, k] op_k
+    over the operator rows op_k of `model._OPERATORS[n]` (rows: (L, k)), as
+    real (L, 2d, 2d) embeddings [[Re E, -Im E], [Im E, Re E]]. Each X is
+    formed straight in its embedding, rows @ `_EMBEDDED_GENERATORS[n]`; the
+    embedding keeps products, so the factors multiply in real arithmetic.
 
-    One qubit (g traceless): X^2 = -th^2 I with th^2 = g00^2 + |g01|^2, so
-    exp(X) = cos(th) I + (sin(th) / th) X in closed form, and th = 0 gives I
-    exactly. Larger d: a scaled and squared Taylor series (`_TAYLOR_NORM`).
+    One qubit (rows are the x, y, z coefficients): X^2 = -th^2 I with th the
+    norm of the row, so exp(X) = cos(th) I + (sin(th) / th) X in closed form,
+    and th = 0 gives I exactly. Above one qubit: a scaled and squared Taylor
+    series (`_TAYLOR_NORM`), run in two preallocated buffers.
     """
-    length, d, _ = g.shape
-    n = 2 * d
-    m = np.empty((length, n, n))
-    m[:, :d, :d] = m[:, d:, d:] = g.imag
-    m[:, :d, d:] = g.real
-    m[:, d:, :d] = -g.real
-    if d == 2:
-        theta = np.sqrt(g[:, 0, 0].real ** 2 + np.abs(g[:, 0, 1]) ** 2)
-        m *= np.sinc(theta / np.pi)[:, None, None]
-        m.reshape(-1, n * n)[:, :: n + 1] += np.cos(theta)[:, None]
-        return m
-    norm = float(np.einsum("lij->lj", np.abs(m)).max())  # largest column sum
+    size = 2 ** (n + 1)
+    diagonal = (slice(None), slice(None, None, size + 1))
+    if n == 1:
+        theta = np.sqrt(np.einsum("lk,lk->l", rows, rows))
+        m = (rows * np.sinc(theta / np.pi)[:, None]) @ _EMBEDDED_GENERATORS[1]
+        m[diagonal] += np.cos(theta)[:, None]
+        return m.reshape(-1, size, size)
+    m = (rows @ _EMBEDDED_GENERATORS[n]).reshape(-1, size, size)
+    buf = np.abs(m)
+    norm = float(np.einsum("lij->lj", buf).max())  # largest column sum
     s = math.ceil(math.log2(norm / _TAYLOR_NORM)) if norm > _TAYLOR_NORM else 0
     if s:
         m *= 0.5 ** s
     nu, k = norm * 0.5 ** s, 1
     while nu ** (k + 1) / math.factorial(k + 1) >= _TAYLOR_TAIL:
         k += 1
-    # Horner in integer weights: E = k I + Y, then E <- (k! / (j-1)!) I + Y E
+    # Horner in integer weights: E = k I + X, then E <- (k! / (j-1)!) I + X E
     # for j = k-1, ..., 1, leaves k! times the degree-k series
-    e, buf = m.copy(), np.empty_like(m)
-    e.reshape(-1, n * n)[:, :: n + 1] += k
+    e = m.copy()
+    e.reshape(-1, size * size)[diagonal] += k
     for j in range(k - 1, 0, -1):
         np.matmul(m, e, out=buf)
-        buf.reshape(-1, n * n)[:, :: n + 1] += math.factorial(k) // math.factorial(j - 1)
+        buf.reshape(-1, size * size)[diagonal] += math.factorial(k) // math.factorial(j - 1)
         e, buf = buf, e
     e /= math.factorial(k)
     for _ in range(s):
@@ -253,9 +263,11 @@ def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     c = 1/2 -+ sqrt(3)/6 and a1, a2 = 1/4 +- sqrt(3)/6. Fourth-order accurate
     in dt; the segment need not be cyclic. A step count (default
     `_ode_steps`) above `ODE_MAX_STEPS` is refused before anything is built.
-    The step exponentials (closed form for one qubit, above it a scaled
-    Taylor series whose truncation bound lies below 2^-53) and their tree
-    product run in real 2d x 2d arithmetic, so the result is unitary to
+    The two generators of a step are combined on H's real coefficient rows
+    at the nodes, and each factor is formed straight in its real 2d x 2d
+    embedding (`_step_exponentials`: closed form for one qubit, above it a
+    scaled Taylor series whose truncation bound lies below 2^-53). The tree
+    product runs in that real arithmetic too, so the result is unitary to
     rounding.
     """
     n_t = _ode_steps(p) if n_t is None else _integer(n_t, "n_t")
@@ -264,11 +276,12 @@ def ode_propagator(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     dt = p.duration / n_t
     starts = np.arange(n_t) * dt
     nodes = np.stack([starts + c * dt for c in _CF4_NODES], axis=1)
-    h = hamiltonian_path(p, nodes.ravel()).reshape(n_t, 2, p.dim, p.dim)
-    h1, h2 = h[:, 0], h[:, 1]
     a1, a2 = _CF4_A1 * dt, _CF4_A2 * dt
-    gen = np.stack([a1 * h1 + a2 * h2, a2 * h1 + a1 * h2], axis=1)
-    r = _ordered_product(_step_exponentials(gen.reshape(2 * n_t, p.dim, p.dim)),
+    # the generators of each step, a1 c1 + a2 c2 and a2 c1 + a1 c2, on H's
+    # coefficient rows c1, c2 at its nodes
+    weights = np.array([[a1, a2], [a2, a1]])
+    rows = weights @ _path_coefficients(p, nodes.ravel()).reshape(n_t, 2, -1)
+    r = _ordered_product(_step_exponentials(rows.reshape(2 * n_t, -1), p.n),
                          first_on_left=False)
     return r[: p.dim, : p.dim] + 1j * r[p.dim :, : p.dim]
 
@@ -279,8 +292,8 @@ def sequence_propagator(seq: LoopSequence) -> np.ndarray:
 
 
 def sequence_phases(seq: LoopSequence) -> list[PhaseRecord]:
-    """Per-segment phase records for a loop sequence."""
-    return [phases(seg) for seg in seq]
+    """Per-segment phase records for a loop sequence (`_phase_records`)."""
+    return _phase_records(seq.segments)
 
 
 def zero_dynamical_phase_amplitude(omega: float, delta: float) -> float:

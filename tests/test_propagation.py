@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hologate import (
     ode_propagator,
     phases,
     sequence_evolution,
+    sequence_phases,
     sequence_propagator,
     single_qubit_loop_gate,
     unitary_exp,
@@ -300,6 +302,19 @@ class TestOdePropagator:
             monkeypatch.setattr(mod, name, refuse)
         np.testing.assert_array_equal(ode_propagator(p), expected)
 
+    @pytest.mark.parametrize("n, kib_per_step", [(1, 0.45), (2, 3.2), (3, 12.3)])
+    def test_peak_memory_per_step(self, rng, n, kib_per_step):
+        # the per-step peaks stated beside ODE_MAX_STEPS and in the README
+        p = random_cyclic_params(rng, n)
+        steps = 4096
+        tracemalloc.start()
+        try:
+            ode_propagator(p, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= steps * kib_per_step * 1024
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_undriven_segment_gives_the_identity_exactly(self, n):
         # every step generator is zero: no division by th = 0, no log2 of a
@@ -338,17 +353,27 @@ class TestStepExponentials:
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("scale", [0.0, 1e-6, 1e-2, 0.3, 2.0, 20.0])
     def test_against_expm(self, rng, d, scale):
-        a = rng.normal(size=(16, d, d)) + 1j * rng.normal(size=(16, d, d))
-        g = a + a.conj().transpose(0, 2, 1)
-        if d == 2:  # the one-qubit closed form takes traceless generators, as H(t) is
-            g -= 0.5 * np.trace(g, axis1=1, axis2=2)[:, None, None] * np.eye(2)
-        g *= scale / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+        # random coefficient rows on every operator of the d-level model; for
+        # d = 2 they span every traceless Hermitian g, as H(t) is traceless
+        n = d.bit_length() - 1
+        ops = model._OPERATORS[n].reshape(-1, d, d)
+        rows = rng.normal(size=(16, len(ops)))
+        rows *= scale / np.linalg.norm(np.tensordot(rows, ops, 1), 2, axis=(1, 2))[:, None]
+        g = np.tensordot(rows, ops, 1)
         with np.errstate(all="raise"):
-            e = _step_exponentials(g)
+            e = _step_exponentials(rows, n)
         expected = embedded(np.stack([scipy.linalg.expm(-1j * x) for x in g]))
         assert np.abs(e - expected).max() <= 1e-13
         if d > 2 and scale >= 2.0:  # the scaling and squaring ran
             assert np.abs(embedded(-1j * g)).sum(axis=-2).max() > _TAYLOR_NORM
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_embedded_table_rows_embed_minus_i_op(self, n):
+        d = 2 ** n
+        table = model._EMBEDDED_GENERATORS[n]
+        assert table.shape == (len(model._OPERATORS[n]), 4 * d * d)
+        for op, row in zip(model._OPERATORS[n], table):
+            np.testing.assert_array_equal(row, embedded(-1j * op.reshape(d, d)).ravel())
 
 
 class TestPhases:
@@ -426,6 +451,15 @@ class TestPhases:
             expect = np.einsum("tik,tij,tjk->tk", frame.vectors.conj(), h_path, frame.vectors).real
             quadrature = -np.trapezoid(expect, frame.times, axis=0)
             np.testing.assert_allclose(rec.gamma_dynamical, quadrature, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sequence_records_are_the_segment_records(self, rng, n):
+        # one stacked evolution gives every segment the record it gets
+        # alone, a flagged degenerate segment among them
+        segs = [random_cyclic_params(rng, n) for _ in range(3)]
+        segs.insert(1, degenerate_pair("unequal") if n == 2 else loop_params(np.pi / 2, 0.3))
+        records = sequence_phases(LoopSequence(tuple(segs)))
+        assert records == [phases(seg) for seg in segs]
 
     def test_unequal_degenerate_pair_h0_block(self):
         # the H(0) block of the unequal pair is not a multiple of I, so only
