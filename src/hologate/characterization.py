@@ -341,9 +341,9 @@ def fit_decay(
     return fit, tuple(float(e) for e in np.sqrt(np.diag(cov))), True
 
 
-def _target_transfer(obj) -> np.ndarray:
-    """4x4 transfer matrix of a benchmarking target: a gate name, a
-    single-qubit unitary, or a LoopSequence (its propagator)."""
+def _target_rotation(obj) -> np.ndarray:
+    """3x3 rotation block of the transfer matrix of a benchmarking target: a
+    gate name, a single-qubit unitary, or a LoopSequence (its propagator)."""
     if isinstance(obj, str):
         obj = named_gate(obj)
     elif isinstance(obj, LoopSequence):
@@ -351,7 +351,15 @@ def _target_transfer(obj) -> np.ndarray:
     transfer = UnitaryChannel(obj)
     if transfer.n != 1:
         raise ValidationError("benchmarking is implemented for single-qubit gates")
-    return transfer.matrix
+    return transfer.matrix[1:, 1:]
+
+
+#: The rotation blocks O (rows X, Y, Z) of the group's diag-block(1, O).
+_CLIFFORD_1Q_ROTATIONS: np.ndarray = CLIFFORD_1Q_GROUP_PTM[:, 1:, 1:]
+#: Most Cliffords, n_sequences * sum(m_values), an `rb_run` draws. Its peak
+#: (tracemalloc) is about 225 B per drawn Clifford, or 300 B when an m is odd
+#: (the tree product carries its last factor): 1.2 GiB at most.
+RB_MAX_CLIFFORDS = 2 ** 22
 
 
 def rb_run(
@@ -366,71 +374,71 @@ def rb_run(
     """Reference and interleaved randomized benchmarking on the Z observable.
 
     Each sequence draws m gates uniformly from the 24-element Clifford
-    group (`CLIFFORD_1Q_GROUP_PTM`), optionally
-    interleaves the target after each one, appends the exact inverse of the
-    intended sequence as the recovery gate, and records <Z>. A depolarizing
-    channel of strength `eps_clifford` follows every Clifford (and the
-    recovery); `eps_target` follows every interleaved target. Both strengths
-    must lie in [0, 1]. Survival curves are averaged per m and fitted to
-    A p^m + B.
+    group (`CLIFFORD_1Q_GROUP_PTM`), optionally interleaves the target after
+    each one, appends the exact inverse of the intended sequence as the
+    recovery gate, and records <Z>. A depolarizing channel of strength
+    `eps_clifford` follows every Clifford (and the recovery); `eps_target`
+    follows every interleaved target. Both strengths must lie in [0, 1].
+    Survival curves are averaged per m and fitted to A p^m + B.
 
-    Every sequence is simulated exactly with 4x4 Pauli transfer matrices:
-    the per-step matrices of the noisy implementation and of the intended
-    gates are chained with batched products over all sequences of one
-    length, the recovery is the transpose of the intended product (the
-    transfer matrix of a unitary is orthogonal), and the survival is the
-    [Z, Z] entry of implementation, recovery, then depolarizing. Each
-    (variant, m) takes one generator, `np.random.default_rng([seed, v, i])`
-    with v = 0 for the reference and 1 for the interleaved variant and i the
-    index of m in `m_values`, and draws all its sequences from it at once, one
-    row of m group indices per sequence.
+    The noise factors out of every sequence exactly: diag(1, l, l, l),
+    l = 1 - eps, commutes with the transfer matrix diag-block(1, O) of every
+    unitary. So every reference sequence survives with l_c^(m+1): the
+    reference curve is that closed form, with standard errors 0, and draws
+    nothing. An interleaved one survives with l_c^(m+1) l_t^m (A B^T)[Z, Z],
+    A and B the ordered products of the 3x3 rotation blocks of the
+    implemented and the intended steps (the recovery is B^T, as a unitary's
+    transfer matrix is orthogonal). Each m takes one generator,
+    `np.random.default_rng([seed, 1, i])` with i the index of m, and draws
+    its sequences at once, a row of m group indices each; at most
+    `RB_MAX_CLIFFORDS` in all.
 
     `target` may be a gate name, an explicit unitary (finite and unitary
     within 1e-8, as `UnitaryChannel` checks), or a LoopSequence (its
     propagator is taken as the implementation). `target_ideal` sets the
     intended gate used for the recovery; it defaults to the implementation
-    itself (for a gate name, the named unitary).
+    itself (for a gate name, the named unitary). Both it and a nonzero
+    `eps_target` need a target.
     """
     m_values = tuple(_integer(m, "m value") for m in m_values)
     n_sequences, seed = _integer(n_sequences, "n_sequences"), _integer(seed, "seed")
-    if any(m < 1 for m in m_values) or n_sequences < 1 or seed < 0:
-        raise ValidationError("m values and n_sequences must be positive, seed nonnegative")
-    dep_clifford = DepolarizingChannel(eps_clifford).matrix
-    dep_target = DepolarizingChannel(eps_target).matrix
-    if target is not None:
-        impl = _target_transfer(target)
-        ideal = impl if target_ideal is None else _target_transfer(target_ideal)
-    z = pauli_labels(1).index("Z")
+    if not m_values or any(m < 1 for m in m_values) or n_sequences < 1 or seed < 0:
+        raise ValidationError("m values (one or more) and n_sequences must be positive, "
+                              "seed nonnegative")
+    if n_sequences * sum(m_values) > RB_MAX_CLIFFORDS:
+        raise ValidationError(f"n_sequences * sum(m_values) = {n_sequences * sum(m_values)} "
+                              f"exceeds RB_MAX_CLIFFORDS = {RB_MAX_CLIFFORDS}")
+    # each strength checked; l = 1 - eps of diag(1, l, l, l)
+    keep_clifford, keep_target = (float(DepolarizingChannel(eps).matrix[1, 1])
+                                  for eps in (eps_clifford, eps_target))
 
-    def run_variant(interleave: bool, noisy: np.ndarray, intended: np.ndarray) -> RBRecord:
-        """`noisy[k]` and `intended[k]` are the transfer matrices of one step
-        that draws Clifford k."""
-        means, errs = [], []
-        for mi, m in enumerate(m_values):
-            draws = np.random.default_rng([seed, int(interleave), mi]).integers(
-                0, len(CLIFFORD_1Q_GROUP_PTM), size=(n_sequences, m))
-            recovery = np.swapaxes(_ordered_product(intended[draws], first_on_left=True), 1, 2)
-            vals = (_ordered_product(noisy[draws], first_on_left=True)
-                    @ recovery @ dep_clifford)[:, z, z]
-            means.append(float(vals.mean()))
-            errs.append(float(vals.std(ddof=1) / np.sqrt(n_sequences)) if n_sequences > 1 else 0.0)
-        fit, fit_err, ok = fit_decay(m_values, means)
-        return RBRecord(
-            variant="interleaved" if interleave else "reference",
-            m_values=m_values,
-            mean_fidelity=tuple(means),
-            stderr=tuple(errs),
-            n_sequences=n_sequences,
-            fit=fit,
-            fit_stderr=fit_err,
-            converged=ok,
-        )
+    def record(variant: str, means: list, errs: list) -> RBRecord:
+        # fit, fit_stderr and converged, in field order
+        return RBRecord(variant, m_values, tuple(means), tuple(errs), n_sequences,
+                        *fit_decay(m_values, means))
 
-    noisy_clifford = CLIFFORD_1Q_GROUP_PTM @ dep_clifford
-    reference = run_variant(False, noisy_clifford, CLIFFORD_1Q_GROUP_PTM)
-    interleaved = None if target is None else run_variant(
-        True, noisy_clifford @ (impl @ dep_target), CLIFFORD_1Q_GROUP_PTM @ ideal)
-    return RBRun(reference=reference, interleaved=interleaved)
+    # only depolarizing noise factors out: any other channel would need the
+    # full 4x4 transfer-matrix chain (`tests/reference.py`) for both variants
+    reference = record("reference", [keep_clifford ** (m + 1) for m in m_values],
+                       [0.0] * len(m_values))
+    if target is None:
+        if target_ideal is not None or eps_target != 0:
+            raise ValidationError("an intended gate or target noise needs a target")
+        return RBRun(reference=reference)
+    impl = _target_rotation(target)
+    ideal = impl if target_ideal is None else _target_rotation(target_ideal)
+    # steps[k] holds the implemented and the intended step that draws Clifford k
+    steps = np.stack([_CLIFFORD_1Q_ROTATIONS @ impl, _CLIFFORD_1Q_ROTATIONS @ ideal], axis=1)
+    means, errs = [], []
+    for i, m in enumerate(m_values):
+        draws = np.random.default_rng([seed, 1, i]).integers(
+            0, len(_CLIFFORD_1Q_ROTATIONS), size=(n_sequences, m))
+        z_rows = _ordered_product(steps[draws].swapaxes(1, 2), first_on_left=True)[:, :, 2]
+        vals = (keep_clifford ** (m + 1) * keep_target ** m
+                * (z_rows[:, 0] * z_rows[:, 1]).sum(axis=1))
+        means.append(float(vals.mean()))
+        errs.append(float(vals.std(ddof=1) / np.sqrt(n_sequences)) if n_sequences > 1 else 0.0)
+    return RBRun(reference=reference, interleaved=record("interleaved", means, errs))
 
 
 def rb_gate_fidelity(ref: RBRecord, inter: RBRecord, n: int = 1) -> float:

@@ -354,18 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-evals", type=int, default=None,
                    help="per-restart simplex evaluation budget")
 
+    def gate_or_input(p, input_help):
+        """--gate and --input, at most one of them."""
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--gate", choices=sorted(GATES), default=None)
+        group.add_argument("--input", default=None, help=input_help)
+
     p = sub.add_parser("qpt", help="Pauli-basis process tomography of a gate")
     common(p)
-    p.add_argument("--gate", choices=sorted(GATES), default=None)
-    p.add_argument("--input", default=None, help="LoopSequence JSON")
+    gate_or_input(p, "LoopSequence JSON")
     p.add_argument("--target", choices=sorted(GATES), default=None,
                    help="ideal gate for the fidelity comparison")
     p.add_argument("--noise-eps", type=float, default=0.0)
 
     p = sub.add_parser("rb", help="reference + interleaved randomized benchmarking")
     common(p, seed=True)
-    p.add_argument("--gate", choices=sorted(GATES), default=None)
-    p.add_argument("--input", default=None, help="LoopSequence JSON for the target")
+    gate_or_input(p, "LoopSequence JSON for the target")
     p.add_argument("--target", choices=sorted(GATES), default=None,
                    help="intended gate used for the recovery inversion")
     p.add_argument("--noise-eps", type=float, default=0.0,

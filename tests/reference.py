@@ -13,6 +13,10 @@ every step exponential taken from a complex `eigh`: a second computation of
 the same product, which the tests hold the library's real-arithmetic
 `ode_propagator` to.
 
+`rb_transfer_chain` simulates every benchmarking sequence of `rb_run` as the
+full chain of 4x4 transfer matrices, noise included; the library factors the
+depolarizing noise out of it.
+
 The channel maps act on explicit density matrices: `unitary_map`,
 `depolarizing_map` and `sequence_map` are rho -> rho' functions, and
 `map_transfer` pushes every Pauli through one. The library holds each channel
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hologate.characterization import CLIFFORD_1Q_GROUP_PTM, DepolarizingChannel, UnitaryChannel
 from hologate.linalg import ValidationError, _ordered_product, pauli_basis
 from hologate.model import PulseParams, frame_frequencies, hamiltonian_path
 from hologate.propagation import (
@@ -237,3 +242,27 @@ def map_transfer(channel, n: int) -> np.ndarray:
     mat = np.einsum("jab,iba->ij", basis, outs) / 2 ** n
     assert np.abs(mat.imag).max() <= 1e-12
     return mat.real
+
+
+def rb_transfer_chain(impl, ideal, eps_clifford, eps_target, m_values, n_sequences, seed,
+                      interleave):
+    """Per-m mean and standard error of the Z survival of `rb_run`'s sequences,
+    drawn as it draws them (one generator `default_rng([seed, interleave, i])`
+    per m) and each chained in full 4x4 transfer matrices: every step the
+    noisy implementation, against the intended product as the recovery, then
+    the Clifford noise. `impl` and `ideal` are single-qubit unitaries."""
+    dep_clifford = DepolarizingChannel(eps_clifford).matrix
+    noisy, intended = CLIFFORD_1Q_GROUP_PTM @ dep_clifford, CLIFFORD_1Q_GROUP_PTM
+    if interleave:
+        noisy = noisy @ UnitaryChannel(impl).matrix @ DepolarizingChannel(eps_target).matrix
+        intended = intended @ UnitaryChannel(ideal).matrix
+    means, errs = [], []
+    for i, m in enumerate(m_values):
+        draws = np.random.default_rng([seed, int(interleave), i]).integers(
+            0, len(CLIFFORD_1Q_GROUP_PTM), size=(n_sequences, m))
+        recovery = np.swapaxes(_ordered_product(intended[draws], first_on_left=True), 1, 2)
+        vals = (_ordered_product(noisy[draws], first_on_left=True) @ recovery
+                @ dep_clifford)[:, 3, 3]
+        means.append(vals.mean())
+        errs.append(vals.std(ddof=1) / np.sqrt(n_sequences) if n_sequences > 1 else 0.0)
+    return np.array(means), np.array(errs)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,9 +32,10 @@ from hologate import (
 )
 from hologate import linalg, synthesis, tables
 from hologate.characterization import (
-    CLIFFORD_1Q_GROUP_PTM, CLIFFORD_1Q_PTM, FLAT_SPAN, SLOWEST_RATE)
+    CLIFFORD_1Q_GROUP_PTM, CLIFFORD_1Q_PTM, FLAT_SPAN, RB_MAX_CLIFFORDS, SLOWEST_RATE)
 from hologate.linalg import PAULI_1Q, pauli_basis
-from reference import depolarizing_map, map_transfer, sequence_map, unitary_map
+from reference import (
+    depolarizing_map, map_transfer, rb_transfer_chain, sequence_map, unitary_map)
 
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
 
@@ -492,9 +494,9 @@ class TestRb:
         # the miscalibrated target is visibly worse than the ideal gate
         assert run.interleaved.mean_fidelity[-1] < run.reference.mean_fidelity[-1] - 0.01
 
-    def test_one_generator_per_variant_and_length(self, monkeypatch):
-        # one generator per (seed, variant, m), not one per sequence: seeding
-        # per sequence cost most of an rb_run
+    @pytest.fixture
+    def rng_calls(self, monkeypatch):
+        """The arguments of every `np.random.default_rng` call."""
         calls, default_rng = [], np.random.default_rng
 
         def spy(*args, **kwargs):
@@ -502,10 +504,98 @@ class TestRb:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
+        return calls
+
+    def test_one_generator_per_variant_and_length(self, rng_calls):
+        # one generator per (seed, interleaved, m), not one per sequence:
+        # seeding per sequence cost most of an rb_run; the reference curve
+        # is closed form and draws nothing
         m_values = (2, 4, 8, 16)
         rb_run(target="X", m_values=m_values, n_sequences=10, seed=3)
-        assert len(calls) == 2 * len(m_values)
-        assert calls == [([3, v, i],) for v in (0, 1) for i in range(len(m_values))]
+        assert len(rng_calls) == len(m_values)
+        assert rng_calls == [([3, 1, i],) for i in range(len(m_values))]
+        rb_run(eps_clifford=0.01, m_values=m_values, n_sequences=10, seed=3)
+        assert len(rng_calls) == len(m_values)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.013, 0.2, 1.0])
+    def test_reference_is_the_closed_form(self, eps):
+        # depolarizing noise commutes with every unitary's transfer matrix,
+        # so each reference sequence survives with (1 - eps)^(m + 1)
+        m_values = (1, 3, 5, 7, 8, 64)
+        for target in (None, "T"):
+            record = rb_run(target=target, eps_clifford=eps, m_values=m_values,
+                            n_sequences=6, seed=9).reference
+            assert record.mean_fidelity == tuple((1 - eps) ** (m + 1) for m in m_values)
+            assert record.stderr == (0.0,) * len(m_values)
+
+    @pytest.mark.parametrize("case", ["miscalibrated-loops", "random-su2", "no-ideal",
+                                      "odd-m", "one-sequence"])
+    def test_matches_the_full_transfer_chain(self, case, rng):
+        # the factored survival against every sequence chained in 4x4
+        # transfer matrices, noise included
+        seq = LoopSequence(tuple(
+            dataclasses.replace(seg, omega_drive=tuple(0.97 * w for w in seg.omega_drive))
+            for seg in tables.single_qubit_sequence("T")
+        ))
+        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        su2 = unitary_exp(h + h.conj().T, 0.7)
+        su2 = su2 / np.sqrt(np.linalg.det(su2))
+        target, ideal = {"miscalibrated-loops": (seq, "T"), "random-su2": (su2, "H"),
+                         "no-ideal": (su2, None), "odd-m": (seq, "T"),
+                         "one-sequence": ("X", "Y")}[case]
+        m_values = {"odd-m": (1, 3, 5, 7, 9, 33)}.get(case, (1, 2, 4, 8, 16))
+        n_seq = 1 if case == "one-sequence" else 9
+        eps_c, eps_t, seed = 0.006, 0.011, 17
+        run = rb_run(target=target, target_ideal=ideal, eps_clifford=eps_c,
+                     eps_target=eps_t, m_values=m_values, n_sequences=n_seq, seed=seed)
+        impl = sequence_propagator(target) if isinstance(target, LoopSequence) else (
+            named_gate(target) if isinstance(target, str) else target)
+        intended = impl if ideal is None else named_gate(ideal)
+        for record, interleave in ((run.reference, False), (run.interleaved, True)):
+            means, errs = rb_transfer_chain(impl, intended, eps_c, eps_t, m_values, n_seq,
+                                            seed, interleave)
+            np.testing.assert_allclose(record.mean_fidelity, means, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(record.stderr, errs, rtol=0, atol=1e-13)
+        if n_seq > 1 and ideal is not None:  # the sequences see the coherent error
+            assert max(errs) > 1e-4
+
+    def test_refuses_a_run_above_the_cap_before_drawing(self, rng_calls):
+        for m_values, n_seq in (((RB_MAX_CLIFFORDS // 4 + 1,), 4),
+                                ((1, RB_MAX_CLIFFORDS), 1)):
+            with pytest.raises(ValidationError, match="RB_MAX_CLIFFORDS"):
+                rb_run(target="X", m_values=m_values, n_sequences=n_seq)
+        assert rng_calls == []
+
+    def test_a_run_at_the_cap_is_drawn(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Drawn  # the run passed validation; nothing is allocated
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(Drawn):
+            rb_run(target="X", m_values=(RB_MAX_CLIFFORDS // 4,), n_sequences=4)
+
+    @pytest.mark.parametrize("m, bytes_per_clifford", [(256, 225), (255, 300)])
+    def test_peak_memory_per_clifford(self, m, bytes_per_clifford):
+        # the peaks stated beside RB_MAX_CLIFFORDS and in the README
+        n_seq = 128
+        rb_run(target="T", m_values=(3,), n_sequences=2)
+        tracemalloc.start()
+        try:
+            rb_run(target="T", eps_clifford=0.01, m_values=(m,), n_sequences=n_seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_seq * m * bytes_per_clifford
+
+    @pytest.mark.parametrize("kwargs", [{"target_ideal": "X"}, {"eps_target": 0.2},
+                                        {"eps_target": 1e-17}])
+    def test_target_options_need_a_target(self, kwargs):
+        # a reference-only run would drop them without a word
+        with pytest.raises(ValidationError, match="needs a target"):
+            rb_run(m_values=(2,), n_sequences=2, **kwargs)
 
     def test_csv_format(self):
         run = rb_run(m_values=(2, 4), n_sequences=2, seed=0)
@@ -517,6 +607,8 @@ class TestRb:
     def test_validation(self):
         with pytest.raises(ValidationError):
             rb_run(m_values=(0,), n_sequences=2)
+        with pytest.raises(ValidationError):
+            rb_run(m_values=(), n_sequences=2)
         with pytest.raises(ValidationError):
             rb_run(target=named_gate("CNOT"), m_values=(2,), n_sequences=2)
         with pytest.raises(ValidationError):

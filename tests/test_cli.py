@@ -441,6 +441,34 @@ class TestErrorHandling:
     def test_entangle_zero_max_evals(self):
         assert run_cli(["entangle", "--max-evals", "0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["qpt", "--gate", "X", "--input", "{x}"],
+        ["rb", "--gate", "X", "--input", "{x}"],
+    ], ids=lambda argv: argv[0])
+    def test_gate_and_input_are_exclusive(self, argv, x_sequence_file, capsys):
+        # one of them would be ignored without a word
+        with pytest.raises(SystemExit) as exc:
+            run_cli([a.format(x=x_sequence_file) for a in argv])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--target", "X"], ["--target-eps", "0.2"],
+                                       ["--target", "X", "--target-eps", "0.2"]])
+    def test_rb_target_options_need_a_target(self, flags, capsys):
+        # a reference-only run would drop them without a word
+        assert run_cli(["rb", *flags, "--m-values", "2", "--n-seq", "2"]) == 2
+        assert "needs a target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--m-values", "100000000"], ["--n-seq", "300000000"]])
+    def test_rb_run_above_the_cap(self, flags, capsys, monkeypatch):
+        # refused before anything is drawn, where it once ran out of memory
+        def refuse(*args, **kwargs):
+            raise AssertionError("sequences drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert run_cli(["rb", "--gate", "X", *flags]) == 2
+        assert "RB_MAX_CLIFFORDS" in capsys.readouterr().err
+
     def test_rb_negative_seed(self):
         assert run_cli(["rb", "--seed", "-1", "--m-values", "2", "--n-seq", "2"]) == 2
 
