@@ -182,6 +182,7 @@ class RBRecord:
     errors, both as `fit_decay` returns them: finite numbers, the errors
     None when three m values leave no residual, and both None when
     `converged` is False (the data are not a decay, or too few m values).
+    `rb_run`'s reference record carries its closed form instead.
     """
 
     variant: str
@@ -357,8 +358,8 @@ def _target_rotation(obj) -> np.ndarray:
 #: The rotation blocks O (rows X, Y, Z) of the group's diag-block(1, O).
 _CLIFFORD_1Q_ROTATIONS: np.ndarray = CLIFFORD_1Q_GROUP_PTM[:, 1:, 1:]
 #: Most Cliffords, n_sequences * sum(m_values), an `rb_run` draws. Its peak
-#: (tracemalloc) is about 225 B per drawn Clifford, or 300 B when an m is odd
-#: (the tree product carries its last factor): 1.2 GiB at most.
+#: (tracemalloc) is about 225 B per drawn Clifford, for odd m as for even:
+#: 0.9 GiB at most.
 RB_MAX_CLIFFORDS = 2 ** 22
 
 
@@ -384,13 +385,14 @@ def rb_run(
     The noise factors out of every sequence exactly: diag(1, l, l, l),
     l = 1 - eps, commutes with the transfer matrix diag-block(1, O) of every
     unitary. So every reference sequence survives with l_c^(m+1): the
-    reference curve is that closed form, with standard errors 0, and draws
-    nothing. An interleaved one survives with l_c^(m+1) l_t^m (A B^T)[Z, Z],
-    A and B the ordered products of the 3x3 rotation blocks of the
-    implemented and the intended steps (the recovery is B^T, as a unitary's
-    transfer matrix is orthogonal). Each m takes one generator,
-    `np.random.default_rng([seed, 1, i])` with i the index of m, and draws
-    its sequences at once, a row of m group indices each; at most
+    reference curve is that closed form, with standard errors 0, fit by
+    (l_c, l_c, 0) with errors 0 (unconverged at l_c = 0: nothing survives),
+    and draws nothing. An interleaved one survives with
+    l_c^(m+1) l_t^m (A B^T)[Z, Z], A and B the ordered products of the 3x3
+    rotation blocks of the implemented and the intended steps (the recovery
+    is B^T, as a unitary's transfer matrix is orthogonal). Each m takes one
+    generator, `np.random.default_rng([seed, 1, i])` with i the index of m,
+    and draws its sequences at once, a row of m group indices each; at most
     `RB_MAX_CLIFFORDS` in all.
 
     `target` may be a gate name, an explicit unitary (finite and unitary
@@ -412,15 +414,15 @@ def rb_run(
     keep_clifford, keep_target = (float(DepolarizingChannel(eps).matrix[1, 1])
                                   for eps in (eps_clifford, eps_target))
 
-    def record(variant: str, means: list, errs: list) -> RBRecord:
-        # fit, fit_stderr and converged, in field order
-        return RBRecord(variant, m_values, tuple(means), tuple(errs), n_sequences,
-                        *fit_decay(m_values, means))
-
     # only depolarizing noise factors out: any other channel would need the
     # full 4x4 transfer-matrix chain (`tests/reference.py`) for both variants
-    reference = record("reference", [keep_clifford ** (m + 1) for m in m_values],
-                       [0.0] * len(m_values))
+    if keep_clifford > 0.0:  # l^(m + 1) = A p^m + B with A = p = l, B = 0
+        fit = (keep_clifford, keep_clifford, 0.0), (0.0, 0.0, 0.0), True
+    else:  # total depolarization: nothing survives, and there is no decay
+        fit = None, None, False
+    reference = RBRecord("reference", m_values,
+                         tuple(keep_clifford ** (m + 1) for m in m_values),
+                         (0.0,) * len(m_values), n_sequences, *fit)
     if target is None:
         if target_ideal is not None or eps_target != 0:
             raise ValidationError("an intended gate or target noise needs a target")
@@ -438,7 +440,9 @@ def rb_run(
                 * (z_rows[:, 0] * z_rows[:, 1]).sum(axis=1))
         means.append(float(vals.mean()))
         errs.append(float(vals.std(ddof=1) / np.sqrt(n_sequences)) if n_sequences > 1 else 0.0)
-    return RBRun(reference=reference, interleaved=record("interleaved", means, errs))
+    interleaved = RBRecord("interleaved", m_values, tuple(means), tuple(errs), n_sequences,
+                           *fit_decay(m_values, means))
+    return RBRun(reference=reference, interleaved=interleaved)
 
 
 def rb_gate_fidelity(ref: RBRecord, inter: RBRecord, n: int = 1) -> float:

@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.add_argument("--input", required=True, help="SynthesisProblem JSON")
     p.add_argument("--restarts", type=int, default=None,
-                   help="simplex restarts; a two-loop single-qubit problem is solved "
-                        "exactly and reads neither this nor --seed")
+                   help="simplex restarts of two-qubit problems; a single-qubit problem "
+                        "is solved exactly and reads neither this nor --seed")
     p.add_argument("--penalty", type=float, default=None)
 
     p = sub.add_parser("entangle", help="search for a single-loop entangling gate")

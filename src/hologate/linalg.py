@@ -38,13 +38,15 @@ def _number(value, name: str) -> float:
 def _ordered_product(factors: np.ndarray, *, first_on_left: bool) -> np.ndarray:
     """Product of the matrices stacked along axis -3, by pairwise tree
     reduction: f[0] f[1] ... f[-1] when `first_on_left`, else f[-1] ... f[0].
-    Leading axes are a batch."""
+    Leading axes are a batch. An odd factor left over at a level is
+    multiplied into the last pair's product, so no level is copied."""
     while factors.shape[-3] > 1:
         m = factors.shape[-3] // 2
         even, odd = factors[..., 0 : 2 * m : 2, :, :], factors[..., 1 : 2 * m : 2, :, :]
         head = even @ odd if first_on_left else odd @ even
-        if 2 * m < factors.shape[-3]:
-            head = np.concatenate([head, factors[..., 2 * m :, :, :]], axis=-3)
+        if 2 * m < factors.shape[-3]:  # a named view would keep this level alive
+            head[..., -1, :, :] = (head[..., -1, :, :] @ factors[..., -1, :, :] if first_on_left
+                                   else factors[..., -1, :, :] @ head[..., -1, :, :])
         factors = head
     return factors[..., 0, :, :]
 

@@ -1,29 +1,22 @@
 """Pulse synthesis for target gates and entangling-gate detection.
 
 Single-qubit synthesis works in the reduced coordinates (w/D, phi) per loop:
-the drive amplitude is eliminated analytically by the zero-dynamical-phase
-condition, so every candidate loop is holonomic by construction and the
-objective reduces to the closed-form loop gate of cone cosine
-c = -sqrt((w/D - 1) / (w/D)), in the SU(2) scalars and product of
-`propagation` (`_cone_loop`, `_compose`).
+the zero-dynamical-phase condition eliminates the drive amplitude, so every
+loop is holonomic by construction. It is solved in closed form (`two_loops`)
+for one or two loops, with no search; more loops are refused.
 
-A gate of two single-qubit loops is solved in closed form (`two_loops`): the
-exact pairs form one curve in the first loop's coordinates, and the result
-is its point of shortest gate inside the bounds. No search runs, so the
-problem's seed, restarts and max_evals do not affect it.
-
-Every other problem is a bounded Nelder-Mead simplex search (`minimize`)
-implemented here with scipy's arithmetic, so no search imports scipy. The
-single-qubit cost reads the fidelity from coefficients of tr(target^dag U)
-computed once per target. Two-qubit synthesis keeps all seven parameters per
-loop and penalizes the dynamical phases. A cost maps a list of vertices to
-their costs: the simplex hands over the points that do not depend on each
-other in one list, and the two-qubit costs map them straight to the stacked
-H(0), frame and duration of every loop of every vertex and propagate them
-all with one batched `eigh` (`propagation._evolve`), with no `PulseParams`
-per evaluation. The simplex bookkeeping is in plain Python floats, since
-numpy calls on vectors of 2 to 35 entries cost more than the single-qubit
-objective itself; each vertex is a list of floats.
+Two-qubit synthesis is a bounded Nelder-Mead simplex search (`minimize`)
+implemented here with scipy's arithmetic, so no search imports scipy. It
+keeps all seven parameters per loop and penalizes the dynamical phases. A
+cost maps a list of vertices to their costs: the simplex hands over the
+points that do not depend on each other in one list, and the two-qubit costs
+map them straight to the stacked H(0), frame and duration of every loop of
+every vertex and propagate them all with one batched `eigh`
+(`propagation._evolve`), with no `PulseParams` per evaluation. The simplex
+bookkeeping is in plain Python floats, each vertex a list of floats: on
+numpy rows (scipy's) an iteration takes 27 us against 8.2 at n = 7 (the
+entangler) and 39 against 89 at n = 35 (five loops), and a search-2q task
+iterates ~34 times at n = 7 and ~5 at n = 35, so rows would cost it ~5%.
 """
 from __future__ import annotations
 
@@ -53,11 +46,8 @@ from .model import (
 )
 from .propagation import (
     _chain,
-    _compose,
-    _cone_loop,
     _evolve,
     _loop_pulse,
-    _trace_coefficients,
     segment_evolution,
     sequence_evolution,
 )
@@ -84,7 +74,6 @@ SCORE_TIE = 1e-9
 #: 2 CPUs, numpy 2.4).
 STACK_LOOPS = 1024
 
-_NM_OPTIONS = dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
 _NM_OPTIONS_2Q = dict(xatol=1e-8, fatol=1e-11, maxiter=4000, maxfev=8000)
 
 
@@ -95,8 +84,7 @@ class SynthesisProblem:
     target: np.ndarray
     n_qubits: int
     n_loops: int
-    # seed, restarts and max_evals steer the simplex search; a two-loop
-    # single-qubit problem is solved exactly and reads none of them
+    # seed, restarts and max_evals steer the two-qubit simplex search only
     seed: int = 0
     restarts: int = 32
     penalty_weight: float = 10.0
@@ -117,6 +105,8 @@ class SynthesisProblem:
         object.__setattr__(self, "target", target)
         if _integer(self.n_loops, "n_loops") < 1:
             raise ValidationError("n_loops must be positive")
+        if self.n_qubits == 1 and self.n_loops > 2:
+            raise ValidationError("single-qubit synthesis takes one or two loops")
         _require_search_counts(self.seed, self.restarts, self.max_evals)
         _require_weights(self.penalty_weight, self.coupling)
         if self.bounds is not None:
@@ -272,34 +262,6 @@ def two_qubit_sequence_from_vector(x: Sequence[float], coupling: float = 1.0) ->
             )
         )
     return LoopSequence(tuple(segs))
-
-
-def _closed_form_cost(target: np.ndarray, n_loops: int):
-    """1 - F(target, U) for the product U of the closed-form loop gates of
-    reduced coordinates x, in SU(2) scalars.
-
-    A loop of ratio w/D has the cone cosine c = -sqrt((ratio - 1) / ratio),
-    free of cancellation near resonance, and its gate w I + i (v . sigma)
-    is `_cone_loop(c, phi)`; each later loop multiplies the product so far
-    from the left (`_compose`). tr(target^dag U) = c0 w + c.v with
-    c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
-    |c0 w + c.v| / 2 with the coefficients computed here once.
-    """
-    coeffs = _trace_coefficients(target)
-    r0, r1, r2, r3 = (float(c.real) for c in coeffs)
-    i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
-
-    def cost(x: Sequence[float]) -> float:
-        u = (1.0, 0.0, 0.0, 0.0)
-        for k in range(0, 2 * n_loops, 2):
-            ratio = max(x[k], 1.0 + 1e-12)
-            u = _compose(_cone_loop(-math.sqrt((ratio - 1.0) / ratio), x[k + 1]), u)
-        w, vx, vy, vz = u
-        re = r0 * w + r1 * vx + r2 * vy + r3 * vz
-        im = i0 * w + i1 * vx + i2 * vy + i3 * vz
-        return 1.0 - 0.5 * math.hypot(re, im)
-
-    return cost
 
 
 #: Diagonal of sz_0 + sz_1: the loops drive both qubits at one frequency w,
@@ -526,37 +488,30 @@ def _key_better(key, ref) -> bool:
 def synthesize(problem: SynthesisProblem) -> SynthesisResult:
     """The target gate's pulses, re-scored by the closed-form propagation.
 
-    A single-qubit gate of two loops is solved exactly (`two_loops`): the
-    exact pair of shortest gate inside the bounds, with no search, so seed,
-    restarts and max_evals do not affect it. When no exact pair lies inside
-    the bounds the result is not converged and carries the loops at the
-    bounds' lower corner. Every other problem is a best-of-restarts simplex
+    A single-qubit gate is solved exactly (`two_loops`), with no search, so
+    seed, restarts and max_evals do not affect it: the loop of highest
+    fidelity, or the exact pair of shortest gate, inside the bounds. With no
+    exact pair inside, the result is not converged and carries the loops at
+    the bounds' lower corner. A two-qubit gate is a best-of-restarts simplex
     search, reproducible for a fixed seed: restart starting points are drawn
     once from the seeded generator and each local search is deterministic.
     """
     bounds = problem.full_bounds()
     found = True
-    if problem.n_qubits == 1 and problem.n_loops == 2:
-        # imported on first use, so a process that synthesizes nothing does
-        # not load the solver
-        from .two_loops import shortest_pair
+    if problem.n_qubits == 1:
+        # imported on first use: a process that synthesizes nothing skips it
+        from .two_loops import best_loop, shortest_pair
 
-        x = shortest_pair(problem.target, bounds)
+        solve = best_loop if problem.n_loops == 1 else shortest_pair
+        x = solve(problem.target, bounds)
         found = x is not None
         seq = single_qubit_sequence_from_vector(x if found else [lo for lo, _ in bounds])
     else:
-        if problem.n_qubits == 1:
-            one = _closed_form_cost(problem.target, problem.n_loops)
-            cost = lambda xs: [one(x) for x in xs]
-            options = _NM_OPTIONS
-            sequence_of = single_qubit_sequence_from_vector
-        else:
-            cost = _two_qubit_cost(problem.target, problem.penalty_weight, problem.coupling)
-            options = _NM_OPTIONS_2Q
-            sequence_of = lambda x: two_qubit_sequence_from_vector(x, problem.coupling)
-        candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts, options,
-                                   problem.max_evals)
-        _, seq = _pick_best(candidates, sequence_of)
+        cost = _two_qubit_cost(problem.target, problem.penalty_weight, problem.coupling)
+        candidates = _run_restarts(cost, bounds, problem.seed, problem.restarts,
+                                   _NM_OPTIONS_2Q, problem.max_evals)
+        _, seq = _pick_best(candidates,
+                            lambda x: two_qubit_sequence_from_vector(x, problem.coupling))
 
     u, gd = sequence_evolution(seq)
     fidelity = unitary_fidelity(problem.target, u)

@@ -1,4 +1,4 @@
-"""Exact two-loop single-qubit synthesis: the loop pair of shortest gate.
+"""Single-qubit synthesis in closed form: the best loop, and the shortest exact pair.
 
 In the cone cosine c = cos(theta) in (-1, 0) of the (w/D, phi) coordinates,
 c = -sqrt(1 - D/w), the loop gate is G = -exp(i pi c n.sigma) with axis
@@ -13,7 +13,7 @@ c2 = -acos(-w)/pi, and its axis must lie on that cone, n2z = c2:
 with phi2 = atan2(v_y, v_x). The exact pairs form the curve h = 0, and the
 shortest gate, 2 pi (2 - c1^2 - c2^2), is its point of largest
 c1^2 + c2^2 inside the bounds: a maximum along the curve, or a point where
-the curve meets a bound of either loop.
+the curve meets a bound of either loop. A single loop is `best_loop`.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .propagation import _compose, _cone_loop, _trace_coefficients
 
 
 #: Samples per axis of the grid over the first loop's (cone cosine, azimuth)
-#: on which the curve is found.
+#: on which the curve is found, and of the cone cosines of a single loop.
 _GRID = 48
 
 
@@ -143,17 +143,22 @@ def _peak(fun, d: float):
     return mid[0], mid[1], mid[2]
 
 
+def _box(ratio, azimuth) -> tuple[float, float, float, float]:
+    """(c_lo, c_hi, phi_lo, phi_hi) of one loop's bounds on (w/D, phi)."""
+    (rlo, rhi), (plo, phi) = ratio, azimuth
+    # not -sqrt((r - 1) / r), though that has no cancellation: ties between
+    # exact pairs of equal gate length fall to rounding, and that 3e-14
+    # shift of the lower bound alone changes about half of all picks
+    return -math.sqrt(1.0 - 1.0 / rhi), -math.sqrt(1.0 - 1.0 / rlo), plo, phi
+
+
 class _TwoLoops:
     """The exact two-loop pair of shortest gate inside the bounds."""
 
     def __init__(self, target: np.ndarray, bounds):
         self.q = _su2_quaternion(target)
         self.bounds = bounds
-        # not -sqrt((r - 1) / r), though that has no cancellation: ties between
-        # exact pairs of equal gate length fall to rounding, and that 3e-14
-        # shift of the lower bound alone changes about half of all picks
-        self.boxes = tuple((-math.sqrt(1.0 - 1.0 / rhi), -math.sqrt(1.0 - 1.0 / rlo), plo, phi)
-                           for (rlo, rhi), (plo, phi) in (bounds[0:2], bounds[2:4]))
+        self.boxes = (_box(*bounds[0:2]), _box(*bounds[2:4]))
 
     def best(self) -> list[float] | None:
         """Reduced coordinates (w/D, phi) of both loops, or None when no
@@ -393,3 +398,36 @@ def shortest_pair(target: np.ndarray, bounds) -> list[float] | None:
     shortest gate for the single-qubit target inside the four bounds
     ((ratio), (phi)) * 2, or None when no exact pair lies inside them."""
     return _TwoLoops(target, bounds).best()
+
+
+def best_loop(target: np.ndarray, bounds) -> list[float]:
+    """Reduced coordinates (w/D, phi) of the loop of highest fidelity to the
+    single-qubit target inside the two bounds ((ratio), (phi)).
+
+    The loop g at (c, phi) has fidelity |q . g| = |A + B cos(phi - phi_q)|,
+    A = -q0 cos(pi |c|) + q3 c sin(pi |c|), B = sqrt(1 - c^2) sin(pi |c|)
+    |(q1, q2)| >= 0, phi_q the azimuth of (q1, q2). So the best azimuth is
+    phi_q or phi_q + pi where the window holds it, else a window end. Along
+    each, the local maxima of `_GRID` samples in c are polished by `_peak`.
+    """
+    q = _su2_quaternion(target)
+    clo, chi, plo, phi = _box(*bounds)
+    azimuths = [plo + (math.atan2(q[2], q[1]) + turn - plo) % TWO_PI for turn in (0, math.pi)]
+    if phi - plo < TWO_PI:
+        azimuths = [p for p in azimuths if p <= phi] + [plo, phi]
+
+    def fidelity(c, p, m=math):
+        return abs(sum(a * g for a, g in zip(q, _cone_loop(c, p, m))))
+
+    cs = np.linspace(clo, chi, _GRID)
+    top = None
+    for p in azimuths:
+        f = np.concatenate([[-np.inf], fidelity(cs, p, _Arrays), [-np.inf]])
+        for i in np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])).tolist():
+            c0 = float(cs[i])
+            along = lambda t: (fidelity(c0 + t, p), c0 + t) if clo <= c0 + t <= chi else None
+            _, value, (c,) = _peak(along, float(cs[1] - cs[0])) or (0.0, float(f[i + 1]), (c0,))
+            if top is None or value > top[0]:
+                top = value, c, p
+    _, c, p = top
+    return [min(max(v, lo), hi) for v, (lo, hi) in zip((1.0 / (1.0 - c * c), p), bounds)]

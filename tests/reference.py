@@ -13,6 +13,11 @@ every step exponential taken from a complex `eigh`: a second computation of
 the same product, which the tests hold the library's real-arithmetic
 `ode_propagator` to.
 
+`closed_form_cost` is a single-qubit simplex cost: 1 - F of the product of
+closed-form loop gates, in SU(2) scalars. A seeded `synthesis._run_restarts`
+search on it (`NM_OPTIONS`) is the search that the library's closed-form
+single-qubit solutions must never lose to.
+
 `rb_transfer_chain` simulates every benchmarking sequence of `rb_run` as the
 full chain of 4x4 transfer matrices, noise included; the library factors the
 depolarizing noise out of it.
@@ -25,7 +30,9 @@ its matrices and their products with these.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +43,16 @@ from hologate.propagation import (
     _CF4_A1,
     _CF4_A2,
     _CF4_NODES,
+    _compose,
+    _cone_loop,
     _degenerate_groups,
     _grid_size,
     _ode_steps,
+    _trace_coefficients,
 )
+
+#: Simplex options of the single-qubit reference search.
+NM_OPTIONS = dict(xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
 
 #: Grid points per drive period used by default for the sampled eigenframe.
 DEFAULT_FRAME_POINTS = 8192
@@ -266,3 +279,31 @@ def rb_transfer_chain(impl, ideal, eps_clifford, eps_target, m_values, n_sequenc
         means.append(vals.mean())
         errs.append(vals.std(ddof=1) / np.sqrt(n_sequences) if n_sequences > 1 else 0.0)
     return np.array(means), np.array(errs)
+
+
+def closed_form_cost(target: np.ndarray, n_loops: int):
+    """1 - F(target, U) for the product U of the closed-form loop gates of
+    reduced coordinates x, in SU(2) scalars.
+
+    A loop of ratio w/D has the cone cosine c = -sqrt((ratio - 1) / ratio),
+    free of cancellation near resonance, and its gate w I + i (v . sigma)
+    is `_cone_loop(c, phi)`; each later loop multiplies the product so far
+    from the left (`_compose`). tr(target^dag U) = c0 w + c.v with
+    c0 = tr(target^dag) and c_k = i tr(target^dag sigma_k), so F is
+    |c0 w + c.v| / 2 with the coefficients computed here once.
+    """
+    coeffs = _trace_coefficients(target)
+    r0, r1, r2, r3 = (float(c.real) for c in coeffs)
+    i0, i1, i2, i3 = (float(c.imag) for c in coeffs)
+
+    def cost(x: Sequence[float]) -> float:
+        u = (1.0, 0.0, 0.0, 0.0)
+        for k in range(0, 2 * n_loops, 2):
+            ratio = max(x[k], 1.0 + 1e-12)
+            u = _compose(_cone_loop(-math.sqrt((ratio - 1.0) / ratio), x[k + 1]), u)
+        w, vx, vy, vz = u
+        re = r0 * w + r1 * vx + r2 * vy + r3 * vz
+        im = i0 * w + i1 * vx + i2 * vy + i3 * vz
+        return 1.0 - 0.5 * math.hypot(re, im)
+
+    return cost

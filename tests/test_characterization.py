@@ -411,7 +411,16 @@ class TestFitDecay:
         for record in rb_records:
             m, y = np.array(record.m_values, dtype=float), np.array(record.mean_fidelity)
             fit, err, ok = fit_decay(m, y)
-            assert (fit, err, ok) == (record.fit, record.fit_stderr, record.converged)
+            if record.variant == "reference":
+                # the closed form l^(m + 1), fitted by (l, l, 0) exactly, and
+                # by fit_decay to rounding
+                keep = y[0] ** (1.0 / (m[0] + 1.0))
+                assert record.fit == (record.fit[1], record.fit[1], 0.0)
+                assert record.fit[1] == pytest.approx(keep, rel=1e-14)
+                assert record.fit_stderr == (0.0, 0.0, 0.0) and record.converged
+                assert ok and fit[1] == pytest.approx(keep, rel=1e-12)
+            else:
+                assert (fit, err, ok) == (record.fit, record.fit_stderr, record.converged)
             if not ok:
                 # the best decay is at p -> 1 and the data rise somewhere:
                 # not a decay (A diverges), where curve_fit stops anywhere
@@ -444,7 +453,7 @@ class TestRb:
     def test_noiseless_is_flat(self):
         run = rb_run(m_values=(2, 4, 8), n_sequences=5, seed=1)
         assert all(f == pytest.approx(1.0, abs=1e-12) for f in run.reference.mean_fidelity)
-        assert run.reference.fit[1] == 1.0
+        assert run.reference.fit == (1.0, 1.0, 0.0)
         assert run.interleaved is None
 
     @pytest.mark.parametrize("eps", [0.01, 0.02])
@@ -527,6 +536,24 @@ class TestRb:
                             n_sequences=6, seed=9).reference
             assert record.mean_fidelity == tuple((1 - eps) ** (m + 1) for m in m_values)
             assert record.stderr == (0.0,) * len(m_values)
+            # A p^m + B with A = p = 1 - eps and B = 0; at eps = 1 no decay
+            if eps < 1.0:
+                assert record.fit == (1 - eps, 1 - eps, 0.0) and record.converged
+                assert record.fit_stderr == (0.0, 0.0, 0.0)
+            else:
+                assert (record.fit, record.fit_stderr, record.converged) == (None, None, False)
+
+    def test_reference_fit_is_not_searched(self, monkeypatch):
+        from hologate import characterization
+
+        fitted = []
+        fit = characterization.fit_decay
+        monkeypatch.setattr(characterization, "fit_decay",
+                            lambda m, y: fitted.append(y) or fit(m, y))
+        rb_run(eps_clifford=0.01, m_values=(2, 4, 8), n_sequences=3, seed=1)
+        assert fitted == []
+        run = rb_run(target="T", eps_clifford=0.01, m_values=(2, 4, 8), n_sequences=3, seed=1)
+        assert fitted == [list(run.interleaved.mean_fidelity)]  # the interleaved curve alone
 
     @pytest.mark.parametrize("case", ["miscalibrated-loops", "random-su2", "no-ideal",
                                       "odd-m", "one-sequence"])
@@ -577,7 +604,7 @@ class TestRb:
         with pytest.raises(Drawn):
             rb_run(target="X", m_values=(RB_MAX_CLIFFORDS // 4,), n_sequences=4)
 
-    @pytest.mark.parametrize("m, bytes_per_clifford", [(256, 225), (255, 300)])
+    @pytest.mark.parametrize("m, bytes_per_clifford", [(256, 225), (255, 225)])
     def test_peak_memory_per_clifford(self, m, bytes_per_clifford):
         # the peaks stated beside RB_MAX_CLIFFORDS and in the README
         n_seq = 128

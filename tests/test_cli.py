@@ -206,6 +206,13 @@ class TestSynthCommand:
         assert "warning" in capsys.readouterr().err
         assert json.loads(report.read_text())["converged"] is False
 
+    def test_more_than_two_single_qubit_loops_exit_2(self, tmp_path, capsys):
+        problem = self._problem(tmp_path, target="H", n_loops=3)
+        report = tmp_path / "result.json"
+        assert run_cli(["synth", "--input", problem, "--output", report]) == 2
+        assert "one or two loops" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_no_exact_pair_inside_the_bounds_warns_but_exits_zero(self, tmp_path, capsys):
         # two loops this close to the equator cannot make an X
         problem = self._problem(tmp_path, target="X", bounds=[[1.0001, 1.001], [0.0, 6.0]])
@@ -265,7 +272,8 @@ class TestRbCommand:
                         "--n-seq", "4", "--output", report])
         assert code == 0
         doc = json.loads(report.read_text())
-        assert doc["reference"]["fit"]["p"] == 1.0
+        assert doc["reference"]["fit"] == {"A": 1.0, "p": 1.0, "B": 0.0}
+        assert doc["reference"]["fit_stderr"] == {"A": 0.0, "p": 0.0, "B": 0.0}
         assert doc["gate_fidelity"] == 1.0
         ref_csv = (tmp_path / "rb_reference.csv").read_text().splitlines()
         assert ref_csv[0] == "m,mean_fidelity,stderr"
@@ -280,6 +288,18 @@ class TestRbCommand:
         doc = json.loads(report.read_text())
         assert doc["reference"]["fit"]["p"] == pytest.approx(0.99, abs=1e-6)
         assert "interleaved" not in doc
+
+    def test_total_depolarization_reports_no_gate_fidelity(self, tmp_path, capsys):
+        # nothing survives: neither curve decays, and no fidelity is read off them
+        report = tmp_path / "rbd.json"
+        code = run_cli(["rb", "--gate", "X", "--noise-eps", "1", "--m-values", "2,4,8",
+                        "--n-seq", "4", "--output", report])
+        assert code == 0
+        assert "warning" in capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        assert "gate_fidelity" not in doc
+        assert doc["reference"]["mean_fidelity"] == [0.0, 0.0, 0.0]
+        assert doc["reference"]["converged"] is False and doc["reference"]["fit"] is None
 
     def test_sequence_target(self, x_sequence_file, tmp_path):
         report = tmp_path / "rbs.json"

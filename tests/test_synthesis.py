@@ -18,14 +18,12 @@ from hologate import (
     synthesize,
     unitary_fidelity,
 )
-from hologate import single_qubit_loop_gate, tables
+from hologate import propagation, single_qubit_loop_gate, tables
 from hologate.propagation import _cone_loop, sequence_evolution
 from hologate.synthesis import (
-    _NM_OPTIONS,
     _NM_OPTIONS_2Q,
     SINGLE_QUBIT_BOUNDS,
     TWO_QUBIT_BOUNDS,
-    _closed_form_cost,
     _entangler_cost,
     _pick_best,
     _run_restarts,
@@ -41,7 +39,9 @@ from hologate.two_loops import (
     _loop_mismatch,
     _partner,
     _TwoLoops,
+    best_loop,
 )
+from reference import NM_OPTIONS, closed_form_cost
 
 TWO_PI = 2.0 * np.pi
 
@@ -90,7 +90,8 @@ class TestObjective:
 
 
 class TestClosedFormCost:
-    """The SU(2)-scalar search cost against the matrix product of loop gates."""
+    """The reference SU(2)-scalar search cost against the matrix product of
+    loop gates."""
 
     @staticmethod
     def matrix_cost(target, x):
@@ -116,7 +117,7 @@ class TestClosedFormCost:
     @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "P", "T"])
     def test_matches_matrix_product(self, name, n_loops, rng):
         target = named_gate(name)
-        cost = _closed_form_cost(target, n_loops)
+        cost = closed_form_cost(target, n_loops)
         for x in self.points(rng, n_loops):
             assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
 
@@ -127,7 +128,7 @@ class TestClosedFormCost:
         target = q * (np.diag(r) / np.abs(np.diag(r)))
         assert abs(np.linalg.det(target) - 1.0) > 1e-3
         for n_loops in (1, 2, 3):
-            cost = _closed_form_cost(target, n_loops)
+            cost = closed_form_cost(target, n_loops)
             for x in self.points(rng, n_loops):
                 assert cost(x) == pytest.approx(self.matrix_cost(target, x), abs=1e-14)
 
@@ -139,7 +140,7 @@ class TestClosedFormCost:
         # loses ~1e-13
         for name in ("X", "H", "T"):
             target = named_gate(name)
-            cost = _closed_form_cost(target, n_loops)
+            cost = closed_form_cost(target, n_loops)
             for _ in range(10):
                 x = np.empty(2 * n_loops)
                 x[0::2] = ratio
@@ -250,10 +251,10 @@ class TestSimplex:
     def test_single_qubit_cost(self, name, n_loops):
         bounds = SINGLE_QUBIT_BOUNDS * n_loops
         lo, hi = np.array(bounds).T
-        cost = _closed_form_cost(named_gate(name), n_loops)
+        cost = closed_form_cost(named_gate(name), n_loops)
         for seed in range(3):
             self.compare(each(cost), np.random.default_rng(seed).uniform(lo, hi), bounds,
-                         _NM_OPTIONS)
+                         NM_OPTIONS)
 
     @pytest.mark.parametrize("corner", ["upper", "lower"])
     def test_start_on_a_bound(self, corner):
@@ -261,12 +262,12 @@ class TestSimplex:
         # at the lower bound phi = 0 gets the absolute step
         bounds = SINGLE_QUBIT_BOUNDS * 2
         x0 = np.array(bounds)[:, 1 if corner == "upper" else 0]
-        self.compare(each(_closed_form_cost(named_gate("H"), 2)), x0, bounds, _NM_OPTIONS)
+        self.compare(each(closed_form_cost(named_gate("H"), 2)), x0, bounds, NM_OPTIONS)
 
     def test_shrink_step(self):
         bounds = SINGLE_QUBIT_BOUNDS
         x0 = np.random.default_rng(0).uniform(*np.array(bounds).T)
-        res = self.compare(each(_closed_form_cost(named_gate("X"), 1)), x0, bounds, _NM_OPTIONS)
+        res = self.compare(each(closed_form_cost(named_gate("X"), 1)), x0, bounds, NM_OPTIONS)
         # without a shrink an iteration spends at most two evaluations
         assert res.nfev > len(x0) + 1 + 2 * (res.nit - 1)
 
@@ -279,7 +280,7 @@ class TestSimplex:
         # which need not be stable, or the searches part
         bounds = SINGLE_QUBIT_BOUNDS * 2
         lo, hi = np.array(bounds).T
-        options = _NM_OPTIONS | {"maxfev": 300, "maxiter": 300}
+        options = NM_OPTIONS | {"maxfev": 300, "maxiter": 300}
         for seed in range(40):
             self.compare(each(plateau), np.random.default_rng(seed).uniform(lo, hi), bounds,
                          options)
@@ -288,11 +289,11 @@ class TestSimplex:
         # NaN costs sort last, as np.argsort puts them
         bounds = SINGLE_QUBIT_BOUNDS * 2
         lo, hi = np.array(bounds).T
-        cost = _closed_form_cost(named_gate("H"), 2)
+        cost = closed_form_cost(named_gate("H"), 2)
         holed = lambda x: math.nan if x[1] > 3.0 else cost(x)
         for seed in range(10):
             self.compare(each(holed), np.random.default_rng(seed).uniform(lo, hi), bounds,
-                         _NM_OPTIONS)
+                         NM_OPTIONS)
 
     @pytest.mark.parametrize("max_evals", [5, 36, 37, 120])
     def test_cnot_cost(self, max_evals):
@@ -450,7 +451,7 @@ class TestTwoLoopsExact:
         target = named_gate(name)
         result = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2))
         assert result.converged
-        assert _closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
+        assert closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
         assert result.max_abs_dynamical_phase < 1e-9
         if name in self.LENGTHS:
             assert result.gate_length == pytest.approx(self.LENGTHS[name], abs=1e-4)
@@ -460,7 +461,7 @@ class TestTwoLoopsExact:
         for target in targets:
             result = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2))
             assert result.converged
-            assert _closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
+            assert closed_form_cost(target, 2)(loop_vector(result.sequence)) <= 1e-14
 
     def exact_length_near(self, target, x):
         """Gate length of the exact pair nearest the pick x: x's first loop,
@@ -483,9 +484,9 @@ class TestTwoLoopsExact:
     def test_no_simplex_pick_is_shorter(self, name):
         target = named_gate(name)
         exact = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=2)).gate_length
-        cost = each(_closed_form_cost(target, 2))
+        cost = each(closed_form_cost(target, 2))
         for seed in range(5):
-            x, seq = _pick_best(_run_restarts(cost, self.BOUNDS, seed, 16, _NM_OPTIONS),
+            x, seq = _pick_best(_run_restarts(cost, self.BOUNDS, seed, 16, NM_OPTIONS),
                                 single_qubit_sequence_from_vector)
             if unitary_fidelity(target, sequence_propagator(seq)) < 0.999:
                 continue
@@ -513,10 +514,10 @@ class TestTwoLoopsExact:
             found += 1
             assert result.converged
             assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
-            assert _closed_form_cost(target, 2)(x) <= 1e-14
+            assert closed_form_cost(target, 2)(x) <= 1e-14
             # every converged simplex pick inside the same bounds is at least as long
-            cost = _closed_form_cost(target, 2)
-            x_s, seq = _pick_best(_run_restarts(each(cost), bounds, 0, 4, _NM_OPTIONS),
+            cost = closed_form_cost(target, 2)
+            x_s, seq = _pick_best(_run_restarts(each(cost), bounds, 0, 4, NM_OPTIONS),
                                   single_qubit_sequence_from_vector)
             if cost(x_s) <= 1e-12:
                 assert gate_length(seq) >= result.gate_length - 1e-5
@@ -604,6 +605,78 @@ class TestTwoLoopsExact:
             assert other.sequence == base.sequence
 
 
+def random_bounds(rng):
+    """One loop's bounds: a ratio window in [1.01, 8] and an azimuth window
+    of 1 to 7 rad starting in [-1, 5]."""
+    lo = rng.uniform(1.01, 3.0)
+    start = rng.uniform(-1.0, 5.0)
+    return [(lo, rng.uniform(lo + 0.5, 8.0)), (start, start + rng.uniform(1.0, 7.0))]
+
+
+class TestBestLoop:
+    """A single-qubit gate of one loop is the loop of highest fidelity inside
+    the bounds, solved in closed form."""
+
+    NAMES = ["I", "X", "Y", "Z", "H", "P", "T"]
+
+    @staticmethod
+    def fidelity(target, x):
+        return 1.0 - closed_form_cost(target, 1)(x)
+
+    @staticmethod
+    def dense_scan(target, bounds, n=400):
+        """Highest fidelity on an n x n grid over the loop's (cone cosine,
+        azimuth), from the target's trace coefficients."""
+        (r_lo, r_hi), (p_lo, p_hi) = bounds
+        cs = np.linspace(-math.sqrt(1.0 - 1.0 / r_hi), -math.sqrt(1.0 - 1.0 / r_lo), n)
+        ps = np.linspace(p_lo, min(p_hi, p_lo + TWO_PI), n)
+        g = _cone_loop(cs, ps[:, None], _Arrays)
+        coeffs = [complex(c) for c in propagation._trace_coefficients(target)]
+        return float(np.abs(sum(c * v for c, v in zip(coeffs, g))).max() / 2.0)
+
+    def targets(self, rng, count):
+        """(target, bounds): the named gates at the default bounds, then
+        random targets, every other one with random bounds."""
+        for name in self.NAMES:
+            yield named_gate(name), SINGLE_QUBIT_BOUNDS
+        for k in range(count):
+            yield random_unitary(rng), random_bounds(rng) if k % 2 else SINGLE_QUBIT_BOUNDS
+
+    def test_no_dense_scan_point_is_better(self, rng):
+        for target, bounds in self.targets(rng, 100):
+            x = best_loop(target, bounds)
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+            assert self.fidelity(target, x) >= self.dense_scan(target, bounds) - 1e-12
+
+    def test_no_simplex_pick_is_better(self, rng):
+        for target, bounds in self.targets(rng, 24):
+            x = best_loop(target, bounds)
+            x_s, _ = _pick_best(_run_restarts(each(closed_form_cost(target, 1)), bounds, 0, 16,
+                                              NM_OPTIONS), single_qubit_sequence_from_vector)
+            assert self.fidelity(target, x) >= self.fidelity(target, x_s) - 1e-12
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_synthesized_loop(self, name):
+        target = named_gate(name)
+        result = synthesize(SynthesisProblem(target=target, n_qubits=1, n_loops=1))
+        assert result.sequence == single_qubit_sequence_from_vector(
+            best_loop(target, SINGLE_QUBIT_BOUNDS))
+        assert result.fidelity == pytest.approx(
+            1.0 - closed_form_cost(target, 1)(loop_vector(result.sequence)), abs=1e-14)
+        assert result.max_abs_dynamical_phase < 1e-9
+        assert result.converged == (name == "I")
+
+    def test_search_options_are_not_read(self, monkeypatch):
+        from hologate import synthesis
+
+        monkeypatch.setattr(synthesis, "minimize", None)  # no search runs
+        base = synthesize(SynthesisProblem(target=named_gate("T"), n_qubits=1, n_loops=1))
+        for options in (dict(seed=3), dict(restarts=1), dict(max_evals=5)):
+            other = synthesize(SynthesisProblem(target=named_gate("T"), n_qubits=1, n_loops=1,
+                                                **options))
+            assert other.sequence == base.sequence
+
+
 class TestSynthesize:
     def test_identity_single_loop(self):
         problem = SynthesisProblem(
@@ -638,17 +711,12 @@ class TestSynthesize:
         for sa, sb in zip(a.sequence, b.sequence):
             assert sa == sb
 
-    def test_three_loop_simplex_deterministic_given_seed(self):
-        problem = SynthesisProblem(
-            target=named_gate("H"), n_qubits=1, n_loops=3, seed=5, restarts=4,
-        )
-        a, b = synthesize(problem), synthesize(problem)
-        assert a.converged
-        assert a.to_dict() == b.to_dict()
-        other = synthesize(SynthesisProblem(
-            target=named_gate("H"), n_qubits=1, n_loops=3, seed=6, restarts=4,
-        ))
-        assert other.sequence != a.sequence
+    @pytest.mark.parametrize("n_loops", [3, 4])
+    def test_more_than_two_single_qubit_loops_refused(self, n_loops):
+        with pytest.raises(ValidationError, match="one or two loops"):
+            SynthesisProblem(target=named_gate("H"), n_qubits=1, n_loops=n_loops)
+        with pytest.raises(ValidationError, match="one or two loops"):
+            SynthesisProblem.from_dict({"target": "H", "n_loops": n_loops})
 
     def test_two_qubit_deterministic_given_seed(self):
         problem = SynthesisProblem(
