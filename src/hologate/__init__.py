@@ -12,13 +12,11 @@ results with simulated process tomography and randomized benchmarking.
 from .linalg import (
     GATES,
     ValidationError,
-    herm_eig,
     kron,
     named_gate,
     pauli_basis,
     pauli_on,
     pauli_string,
-    unitary_exp,
     unitary_fidelity,
 )
 from .model import (
@@ -54,7 +52,7 @@ from .synthesis import (
     synthesize,
 )
 from .characterization import (
-    CLIFFORD_1Q,
+    CLIFFORD_1Q_ROTATIONS,
     ChannelSequence,
     DepolarizingChannel,
     RBRecord,

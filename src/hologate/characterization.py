@@ -5,7 +5,8 @@ Every channel is held as its Pauli transfer matrix, a `TransferMatrix`; the
 channel constructors return one. Row i holds the Pauli expansion
 coefficients of the channel output for input Pauli i, so the identity row of
 a trace-preserving channel is (1, 0, ..., 0) and composition "E1 then E2"
-multiplies as T(E1) @ T(E2).
+multiplies as T(E1) @ T(E2). Benchmarking needs only the 3x3 rotation
+blocks of unitary channels, and holds the Clifford group as those alone.
 """
 from __future__ import annotations
 
@@ -24,8 +25,6 @@ from .linalg import (
     pauli_basis,
     pauli_labels,
     require_unitary,
-    unitary_exp,
-    PAULI_1Q,
 )
 from .model import LoopSequence
 from .propagation import sequence_propagator
@@ -127,33 +126,10 @@ def process_fidelity(exp: TransferMatrix, ideal: TransferMatrix) -> float:
     return (d * f_pro + 1.0) / (d + 1.0)
 
 
-def _rotation(axis: str, angle: float) -> np.ndarray:
-    return unitary_exp(PAULI_1Q[axis], angle / 2.0)
-
-
-#: The generators of the single-qubit Clifford group: identity plus x/y
-#: quarter- and half-turns, all mapping Pauli operators to signed Pauli
-#: operators. They are not closed under products; benchmarking draws from the
-#: 24-element group they generate, `CLIFFORD_1Q_GROUP_PTM`.
-CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
-    ("I", np.eye(2, dtype=complex)),
-    ("Rx(+pi/2)", _rotation("X", np.pi / 2)),
-    ("Rx(-pi/2)", _rotation("X", -np.pi / 2)),
-    ("Rx(pi)", _rotation("X", np.pi)),
-    ("Ry(+pi/2)", _rotation("Y", np.pi / 2)),
-    ("Ry(-pi/2)", _rotation("Y", -np.pi / 2)),
-)
-
-#: Transfer matrices of `CLIFFORD_1Q`, stacked in the same order.
-CLIFFORD_1Q_PTM: np.ndarray = _unitary_transfers(np.stack([u for _, u in CLIFFORD_1Q]))
-
-
-def _closure(generators: np.ndarray) -> np.ndarray:
-    """The group generated by a stack of signed-permutation transfer
+def _closure(gens: np.ndarray) -> np.ndarray:
+    """The group generated by a stack of integer signed-permutation
     matrices: the generators, then each element found so far times each
-    generator, in order of discovery. Rounded to integers, every product is
-    exact."""
-    gens = np.rint(generators).astype(np.int64)
+    generator, in order of discovery. In integers every product is exact."""
     group = list(gens)
     seen = {g.tobytes() for g in group}
     for a in group:  # grows while it is walked: a breadth-first closure
@@ -166,12 +142,20 @@ def _closure(generators: np.ndarray) -> np.ndarray:
     return np.stack(group).astype(float)
 
 
-#: Transfer matrices of the 24-element single-qubit Clifford group, exact
-#: signed permutations, `CLIFFORD_1Q_PTM` (rounded) first. Randomized
-#: benchmarking draws from it: twirling over a group that is a unitary
-#: 2-design turns any error channel into a depolarizing one, which is what
-#: the single-exponential decay model assumes.
-CLIFFORD_1Q_GROUP_PTM: np.ndarray = _closure(CLIFFORD_1Q_PTM)
+#: The 24-element single-qubit Clifford group as the 3x3 rotation blocks O
+#: (rows the input Pauli X, Y, Z, columns the output, as in `TransferMatrix`)
+#: of its transfer matrices diag-block(1, O): the closure of six generators,
+#: which come first. Randomized benchmarking draws from it: twirling over a
+#: group that is a unitary 2-design turns any error channel into a
+#: depolarizing one, which is what the single-exponential decay model assumes.
+CLIFFORD_1Q_ROTATIONS: np.ndarray = _closure(np.array([
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # I
+    [[1, 0, 0], [0, 0, 1], [0, -1, 0]],  # Rx(+pi/2): Y -> +Z, Z -> -Y
+    [[1, 0, 0], [0, 0, -1], [0, 1, 0]],  # Rx(-pi/2): Y -> -Z, Z -> +Y
+    [[1, 0, 0], [0, -1, 0], [0, 0, -1]],  # Rx(pi): Y -> -Y, Z -> -Z
+    [[0, 0, -1], [0, 1, 0], [1, 0, 0]],  # Ry(+pi/2): X -> -Z, Z -> +X
+    [[0, 0, 1], [0, 1, 0], [-1, 0, 0]],  # Ry(-pi/2): X -> +Z, Z -> -X
+]))
 
 
 @dataclass(frozen=True)
@@ -230,11 +214,13 @@ class RBRun:
     interleaved: RBRecord | None = None
 
 
-#: Survival curves spanning less than this read as no decay (p = 1). It is
-#: far below the shot noise of a benchmarking experiment, and a fit to a
-#: smaller fall finds a fast decay of tiny amplitude instead: for the
-#: published X loops (average gate fidelity 0.9999992), at the default m
-#: values and 40 sequences, the fitted p gives an interleaved fidelity 0.991.
+#: Survival curves that span less than this and lie within it of 1 read as
+#: no decay (p = 1); flat curves elsewhere decayed before the first m and are
+#: not fitted. It is far below the shot noise of a benchmarking experiment,
+#: and a fit to a smaller fall finds a fast decay of tiny amplitude instead:
+#: for the published X loops (average gate fidelity 0.9999992), at the
+#: default m values and 40 sequences, the fitted p gives an interleaved
+#: fidelity 0.991.
 FLAT_SPAN = 1e-4
 #: r max(m) at the slow end of the decay-rate search (`_decay_constant`).
 SLOWEST_RATE = 1e-3
@@ -311,17 +297,21 @@ def fit_decay(
     `scipy.optimize.curve_fit` reports. They are finite and near zero for
     exact data, and None when N = 3 leaves no residual to scale them by.
 
-    Data that span less than `FLAT_SPAN` (a noiseless run, or a gate
-    whose error no experiment could resolve) short-circuit to p = 1 exactly.
-    The fit has not converged, and params and errors are None, when fewer
-    than three distinct m values leave it undetermined, when the data are
+    Data that span less than `FLAT_SPAN` and lie within it of 1, the
+    survival with no error (a noiseless run, or a gate whose error no
+    experiment could resolve), short-circuit to p = 1 exactly. The fit has
+    not converged, and params and errors are None, when other data span less
+    than `FLAT_SPAN` (they decayed before the first m), when fewer than
+    three distinct m values leave it undetermined, when the data are
     not a decay (A diverges at an end of (0, 1); see `_decay_constant`), or
     when J^T J is singular. Returns (params, standard errors, converged).
     """
     m = np.asarray(m_values, dtype=float)
     y = np.asarray(mean_fidelity, dtype=float)
     if np.ptp(y) < FLAT_SPAN:
-        return (0.0, 1.0, float(y.mean())), (0.0, 0.0, 0.0), True
+        if np.abs(y - 1.0).max() < FLAT_SPAN:
+            return (0.0, 1.0, float(y.mean())), (0.0, 0.0, 0.0), True
+        return None, None, False
     yc = y - y.mean()
     p = _decay_constant(m, yc) if len(set(m.tolist())) >= 3 else None
     if p is None:
@@ -355,8 +345,6 @@ def _target_rotation(obj) -> np.ndarray:
     return transfer.matrix[1:, 1:]
 
 
-#: The rotation blocks O (rows X, Y, Z) of the group's diag-block(1, O).
-_CLIFFORD_1Q_ROTATIONS: np.ndarray = CLIFFORD_1Q_GROUP_PTM[:, 1:, 1:]
 #: Most Cliffords, n_sequences * sum(m_values), an `rb_run` draws. Its peak
 #: (tracemalloc) is about 225 B per drawn Clifford, for odd m as for even:
 #: 0.9 GiB at most.
@@ -375,7 +363,7 @@ def rb_run(
     """Reference and interleaved randomized benchmarking on the Z observable.
 
     Each sequence draws m gates uniformly from the 24-element Clifford
-    group (`CLIFFORD_1Q_GROUP_PTM`), optionally interleaves the target after
+    group (`CLIFFORD_1Q_ROTATIONS`), optionally interleaves the target after
     each one, appends the exact inverse of the intended sequence as the
     recovery gate, and records <Z>. A depolarizing channel of strength
     `eps_clifford` follows every Clifford (and the recovery); `eps_target`
@@ -389,8 +377,9 @@ def rb_run(
     (l_c, l_c, 0) with errors 0 (unconverged at l_c = 0: nothing survives),
     and draws nothing. An interleaved one survives with
     l_c^(m+1) l_t^m (A B^T)[Z, Z], A and B the ordered products of the 3x3
-    rotation blocks of the implemented and the intended steps (the recovery
-    is B^T, as a unitary's transfer matrix is orthogonal). Each m takes one
+    rotation blocks of the implemented and the intended steps, each a
+    Clifford's block times the target's (the recovery is B^T, as a
+    unitary's transfer matrix is orthogonal). Each m takes one
     generator, `np.random.default_rng([seed, 1, i])` with i the index of m,
     and draws its sequences at once, a row of m group indices each; at most
     `RB_MAX_CLIFFORDS` in all.
@@ -430,11 +419,11 @@ def rb_run(
     impl = _target_rotation(target)
     ideal = impl if target_ideal is None else _target_rotation(target_ideal)
     # steps[k] holds the implemented and the intended step that draws Clifford k
-    steps = np.stack([_CLIFFORD_1Q_ROTATIONS @ impl, _CLIFFORD_1Q_ROTATIONS @ ideal], axis=1)
+    steps = np.stack([CLIFFORD_1Q_ROTATIONS @ impl, CLIFFORD_1Q_ROTATIONS @ ideal], axis=1)
     means, errs = [], []
     for i, m in enumerate(m_values):
         draws = np.random.default_rng([seed, 1, i]).integers(
-            0, len(_CLIFFORD_1Q_ROTATIONS), size=(n_sequences, m))
+            0, len(CLIFFORD_1Q_ROTATIONS), size=(n_sequences, m))
         z_rows = _ordered_product(steps[draws].swapaxes(1, 2), first_on_left=True)[:, :, 2]
         vals = (keep_clifford ** (m + 1) * keep_target ** m
                 * (z_rows[:, 0] * z_rows[:, 1]).sum(axis=1))

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra kernel: Pauli strings, Hermitian
-eigendecomposition, unitary exponentials and fidelity metrics.
+"""Dense complex linear algebra kernel: Pauli strings, validation, the tree
+product of stacked matrices, named gates and the gate fidelity.
 
 Everything here is a pure function of its arguments; dimensions are small
 (up to three qubits), so dense numpy throughout.
@@ -11,8 +11,6 @@ import numbers
 from typing import Sequence
 
 import numpy as np
-
-HERMITICITY_RTOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -112,21 +110,6 @@ def pauli_basis(n: int) -> tuple[list[str], np.ndarray]:
     return labels, _PAULI_STACKS[n]
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    a = np.asarray(a)
-    scale = np.linalg.norm(a)
-    return np.linalg.norm(a - a.conj().T) <= rtol * max(scale, 1e-300) or scale == 0.0
-
-
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a, rtol):
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    return a
-
-
 def require_unitary(u: np.ndarray) -> np.ndarray:
     """`u` as a finite complex square matrix with ||U^dag U - I|| <= 1e-8."""
     u = np.asarray(u, dtype=complex)
@@ -135,24 +118,6 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     if not (np.isfinite(u).all() and np.linalg.norm(u.conj().T @ u - np.eye(len(u))) <= 1e-8):
         raise ValidationError("matrix is not a finite unitary within 1e-8")
     return u
-
-
-def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues sorted ascending and the matching orthonormal
-    eigenvectors as columns. Degenerate subspaces come back as an arbitrary
-    orthonormal basis; callers needing continuity must gauge-fix downstream.
-    """
-    a = require_hermitian(a)
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
-
-
-def unitary_exp(a: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i*s*A) for Hermitian A, via eigendecomposition."""
-    vals, vecs = herm_eig(a)
-    return (vecs * np.exp(-1j * s * vals)) @ vecs.conj().T
 
 
 def unitary_fidelity(u: np.ndarray, v: np.ndarray) -> float:

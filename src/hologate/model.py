@@ -66,6 +66,8 @@ def _normalize_couplings(couplings, n: int) -> dict[tuple[int, int], float]:
         i, j = _pair(key)
         if not (0 <= i < j < n):
             raise ValidationError(f"coupling key {(i, j)} must satisfy 0 <= i < j < n")
+        if (i, j) in out:
+            raise ValidationError(f"coupling keys name the wire pair {(i, j)} twice")
         out[(i, j)] = _number(value, f"coupling {(i, j)}")
     return dict(sorted(out.items()))
 

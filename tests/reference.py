@@ -20,7 +20,12 @@ single-qubit solutions must never lose to.
 
 `rb_transfer_chain` simulates every benchmarking sequence of `rb_run` as the
 full chain of 4x4 transfer matrices, noise included; the library factors the
-depolarizing noise out of it.
+depolarizing noise out of it. It chains `CLIFFORD_1Q_GROUP_PTM`, the
+diag-block(1, O) transfer matrices of the library's Clifford rotation blocks
+O, in the library's order. `CLIFFORD_1Q` holds the group's six generators as
+textbook unitaries, exp(-i angle sigma / 2) by `unitary_exp`, an `eigh`
+exponential; the library writes them as signed permutations, and the tests
+hold the one against the other.
 
 The channel maps act on explicit density matrices: `unitary_map`,
 `depolarizing_map` and `sequence_map` are rho -> rho' functions, and
@@ -36,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from hologate.characterization import CLIFFORD_1Q_GROUP_PTM, DepolarizingChannel, UnitaryChannel
-from hologate.linalg import ValidationError, _ordered_product, pauli_basis
+from hologate.characterization import CLIFFORD_1Q_ROTATIONS, DepolarizingChannel, UnitaryChannel
+from hologate.linalg import PAULI_1Q, ValidationError, _ordered_product, pauli_basis
 from hologate.model import PulseParams, frame_frequencies, hamiltonian_path
 from hologate.propagation import (
     _CF4_A1,
@@ -225,6 +230,29 @@ def ode_propagator_eigh(p: PulseParams, n_t: int | None = None) -> np.ndarray:
     vals, vecs = np.linalg.eigh(gen.reshape(2 * n_t, p.dim, p.dim))
     factors = np.einsum("tik,tk,tjk->tij", vecs, np.exp(-1j * vals * dt), vecs.conj())
     return _ordered_product(factors, first_on_left=False)
+
+
+def unitary_exp(a: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i s A) for a Hermitian matrix A, by `eigh`."""
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * np.exp(-1j * s * vals)) @ vecs.conj().T
+
+
+#: The generators of the single-qubit Clifford group, in the library's order:
+#: the identity and x/y quarter- and half-turns.
+CLIFFORD_1Q: tuple[tuple[str, np.ndarray], ...] = (
+    ("I", np.eye(2, dtype=complex)),
+    ("Rx(+pi/2)", unitary_exp(PAULI_1Q["X"], np.pi / 4)),
+    ("Rx(-pi/2)", unitary_exp(PAULI_1Q["X"], -np.pi / 4)),
+    ("Rx(pi)", unitary_exp(PAULI_1Q["X"], np.pi / 2)),
+    ("Ry(+pi/2)", unitary_exp(PAULI_1Q["Y"], np.pi / 4)),
+    ("Ry(-pi/2)", unitary_exp(PAULI_1Q["Y"], -np.pi / 4)),
+)
+
+#: Transfer matrices diag-block(1, O) of the library's Clifford rotation blocks.
+CLIFFORD_1Q_GROUP_PTM = np.zeros((len(CLIFFORD_1Q_ROTATIONS), 4, 4))
+CLIFFORD_1Q_GROUP_PTM[:, 0, 0] = 1.0
+CLIFFORD_1Q_GROUP_PTM[:, 1:, 1:] = CLIFFORD_1Q_ROTATIONS
 
 
 def unitary_map(u: np.ndarray):

@@ -40,6 +40,7 @@ from reference import (
     depolarizing_map,
     map_transfer,
     sequence_map,
+    unitary_exp,
     unitary_map,
 )
 
@@ -188,8 +189,6 @@ def test_criterion_9_qpt_bookkeeping(rng):
     _, n1 = simulate_qpt(named_gate("H"))
     _, n2 = simulate_qpt(named_gate("CNOT"))
     counts_ok = n1 == qpt_setting_count(1) == 12 and n2 == qpt_setting_count(2) == 240
-    from hologate import unitary_exp
-
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u = unitary_exp(h + h.conj().T, 0.4)
     chans = [UnitaryChannel(u), DepolarizingChannel(0.07, 2), UnitaryChannel(named_gate("CNOT"))]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hologate import (
-    CLIFFORD_1Q,
     ChannelSequence,
     DepolarizingChannel,
     LoopSequence,
@@ -28,14 +27,14 @@ from hologate import (
     rb_run,
     sequence_propagator,
     simulate_qpt,
-    unitary_exp,
 )
 from hologate import linalg, synthesis, tables
 from hologate.characterization import (
-    CLIFFORD_1Q_GROUP_PTM, CLIFFORD_1Q_PTM, FLAT_SPAN, RB_MAX_CLIFFORDS, SLOWEST_RATE)
+    CLIFFORD_1Q_ROTATIONS, FLAT_SPAN, RB_MAX_CLIFFORDS, SLOWEST_RATE)
 from hologate.linalg import PAULI_1Q, pauli_basis
 from reference import (
-    depolarizing_map, map_transfer, rb_transfer_chain, sequence_map, unitary_map)
+    CLIFFORD_1Q, CLIFFORD_1Q_GROUP_PTM, depolarizing_map, map_transfer, rb_transfer_chain,
+    sequence_map, unitary_exp, unitary_map)
 
 SX, SZ = PAULI_1Q["X"], PAULI_1Q["Z"]
 
@@ -55,15 +54,15 @@ def brute_force_transfer(u: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def clifford_group() -> list[np.ndarray]:
-    """A unitary of each element of `CLIFFORD_1Q_GROUP_PTM`, in its order,
-    found among the words of three generators by brute-force transfer
-    matrices (every element is such a word, since the identity is a
-    generator)."""
+    """A unitary of each element of `CLIFFORD_1Q_ROTATIONS`, in its order,
+    found among the words of three textbook generators by the rotation
+    blocks of brute-force transfer matrices (every element is such a word,
+    since the identity is a generator)."""
     gens = [u for _, u in CLIFFORD_1Q]
     words = [a @ b @ c for a, b, c in itertools.product(gens, repeat=3)]
-    transfers = [brute_force_transfer(u) for u in words]
-    return [next(u for u, t in zip(words, transfers) if np.allclose(t, g, rtol=0, atol=1e-14))
-            for g in CLIFFORD_1Q_GROUP_PTM]
+    blocks = [brute_force_transfer(u)[1:, 1:] for u in words]
+    return [next(u for u, o in zip(words, blocks) if np.allclose(o, g, rtol=0, atol=1e-14))
+            for g in CLIFFORD_1Q_ROTATIONS]
 
 
 def density_matrix_rb(impl, ideal, eps_clifford, eps_target, m_values, n_sequences,
@@ -139,16 +138,12 @@ class TestPauliTransfer:
         assert np.abs(t.matrix - ideal).max() < 0.02
 
     def test_unitary_channel_is_orthogonal(self, rng):
-        from hologate import unitary_exp
-
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u = unitary_exp(h + h.conj().T, 0.7)
         t = pauli_transfer(u).matrix
         np.testing.assert_allclose(t.T @ t, np.eye(16), atol=1e-10)
 
     def test_composition_order(self, rng):
-        from hologate import unitary_exp
-
         h1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u1 = unitary_exp(h1 + h1.conj().T, 0.9)
         chans = [UnitaryChannel(u1), DepolarizingChannel(0.05, 1),
@@ -163,9 +158,14 @@ class TestPauliTransfer:
             ChannelSequence([u1, chans[1], named_gate("H")]).matrix, composed)
 
     def test_clifford_table_against_brute_force(self):
-        assert CLIFFORD_1Q_PTM.shape == (6, 4, 4)
-        for (_, u), t in zip(CLIFFORD_1Q, CLIFFORD_1Q_PTM):
-            np.testing.assert_allclose(t, brute_force_transfer(u), rtol=0, atol=1e-15)
+        # the package's six generators, written as signed permutations, are
+        # the rotation blocks of the textbook unitaries' transfer matrices
+        assert len(CLIFFORD_1Q) == 6
+        for (_, u), o in zip(CLIFFORD_1Q, CLIFFORD_1Q_ROTATIONS):
+            t = brute_force_transfer(u)
+            np.testing.assert_allclose(t[0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(t[:, 0], [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(t[1:, 1:], o, rtol=0, atol=1e-15)
 
     def test_random_three_qubit_against_brute_force(self, rng):
         h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -266,26 +266,26 @@ class TestCliffordSet:
                 assert max(overlaps) == pytest.approx(1.0, abs=1e-12)
 
     def test_group_table(self):
-        group = CLIFFORD_1Q_GROUP_PTM
-        assert group.shape == (24, 4, 4)
+        group = CLIFFORD_1Q_ROTATIONS
+        assert group.shape == (24, 3, 3) and group.dtype == float
         # distinct, and every product is an element
         same = (group[:, None] == group[None]).all(axis=(-2, -1))
         np.testing.assert_array_equal(same, np.eye(24, dtype=bool))
         products = group[:, None] @ group[None]
         assert (products[:, :, None] == group).all(axis=(-2, -1)).any(axis=-1).all()
-        # signed permutations that keep the identity row
+        # signed permutations, and rotations
         assert np.isin(group, (-1.0, 0.0, 1.0)).all()
         np.testing.assert_array_equal(np.abs(group).sum(axis=1), 1.0)
         np.testing.assert_array_equal(np.abs(group).sum(axis=2), 1.0)
-        np.testing.assert_array_equal(group[:, 0], np.tile([1.0, 0.0, 0.0, 0.0], (24, 1)))
-        # the generators come first
-        np.testing.assert_allclose(group[:6], CLIFFORD_1Q_PTM, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.det(group), 1.0, rtol=0, atol=1e-15)
+        # every element is the rotation block of a generator word's transfer
+        # matrix (test_clifford_table_against_brute_force: the six come first)
         for u, g in zip(clifford_group(), group):
-            np.testing.assert_allclose(brute_force_transfer(u), g, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(brute_force_transfer(u)[1:, 1:], g, rtol=0, atol=1e-14)
 
 
 def twirl(group: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    """Mean of G^T channel G over the transfer matrices G of `group`."""
+    """Mean of G^T channel G over the matrices G of `group`."""
     return np.mean(np.swapaxes(group, 1, 2) @ channel @ group, axis=0)
 
 
@@ -296,14 +296,13 @@ class TestTwoDesign:
     def test_twirl_of_a_unitary_error_is_depolarizing(self, rng):
         for _ in range(5):
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            error = UnitaryChannel(unitary_exp(h + h.conj().T, 0.4)).matrix
-            p = (np.trace(error) - 1.0) / 3.0
-            depolarizing = np.diag([1.0, p, p, p])
-            np.testing.assert_allclose(twirl(CLIFFORD_1Q_GROUP_PTM, error), depolarizing,
+            error = UnitaryChannel(unitary_exp(h + h.conj().T, 0.4)).matrix[1:, 1:]
+            depolarizing = np.trace(error) / 3.0 * np.eye(3)
+            np.testing.assert_allclose(twirl(CLIFFORD_1Q_ROTATIONS, error), depolarizing,
                                        rtol=0, atol=1e-12)
             # over the six generators alone it is not, which is why
             # benchmarking draws from the group
-            assert np.abs(twirl(CLIFFORD_1Q_PTM, error) - depolarizing).max() > 1e-2
+            assert np.abs(twirl(CLIFFORD_1Q_ROTATIONS[:6], error) - depolarizing).max() > 1e-2
 
     def test_interleaved_means_follow_the_exact_curve(self):
         # one step is "Clifford C, then E", with E = D_c T_impl D_t T_ideal^T
@@ -361,6 +360,18 @@ class TestFitDecay:
         m = np.array([2, 4, 8, 16])
         fit, err, ok = fit_decay(m, 1.0 - 0.9 * FLAT_SPAN * m / 16)
         assert ok and fit[:2] == (0.0, 1.0) and err == (0.0, 0.0, 0.0)
+        # a flat curve on either side of 1
+        fit, err, ok = fit_decay(m, 1.0 + 0.4 * FLAT_SPAN * np.array([1, -1, 1, -1]))
+        assert ok and fit[:2] == (0.0, 1.0)
+
+    @pytest.mark.parametrize("y", [
+        [2.5e-7, 6.25e-12, 3.9e-21, 1.5e-39],  # decayed before the first m
+        [0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.5, 0.5],
+        [1.0 - 1.5 * FLAT_SPAN] * 4,  # flat, but below 1 by more than FLAT_SPAN
+    ])
+    def test_flat_data_away_from_1_do_not_converge(self, y):
+        assert fit_decay([2, 4, 8, 16], y) == (None, None, False)
 
     def test_exact_exponential_recovery(self):
         m = np.array([2, 4, 8, 16, 32, 64])

@@ -301,6 +301,20 @@ class TestRbCommand:
         assert doc["reference"]["mean_fidelity"] == [0.0, 0.0, 0.0]
         assert doc["reference"]["converged"] is False and doc["reference"]["fit"] is None
 
+    def test_curve_decayed_before_the_first_m_reports_no_gate_fidelity(self, tmp_path, capsys):
+        # the interleaved curve is ~0 and flat from m = 2 on: not "no decay",
+        # which would read F = 1.0 where the target's is 1 - 0.5 / 2 = 0.75
+        report = tmp_path / "rbf.json"
+        code = run_cli(["rb", "--gate", "X", "--noise-eps", "0.99", "--target-eps", "0.5",
+                        "--output", report])
+        assert code == 0
+        assert "warning" in capsys.readouterr().err
+        doc = json.loads(report.read_text())
+        assert "gate_fidelity" not in doc
+        assert max(doc["interleaved"]["mean_fidelity"]) < 1e-6
+        assert doc["interleaved"]["converged"] is False and doc["interleaved"]["fit"] is None
+        assert doc["reference"]["converged"] is True
+
     def test_sequence_target(self, x_sequence_file, tmp_path):
         report = tmp_path / "rbs.json"
         code = run_cli(["rb", "--input", x_sequence_file, "--target", "X",
@@ -374,6 +388,17 @@ class TestErrorHandling:
         path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
         assert run_cli([command, "--input", path]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gate", "phases"])
+    @pytest.mark.parametrize("key", [" 0, 1", "00,1"])
+    def test_coupling_pair_named_twice(self, command, key, tmp_path, capsys):
+        doc = tables.cnot_sequence().to_dict()
+        doc["segments"][0]["couplings"] = {"0,1": 2.0, key: 1.0}
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([command, "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "twice" in err
 
     @pytest.mark.parametrize("command", [
         ["gate"], ["phases"], ["qpt", "--target", "X"],

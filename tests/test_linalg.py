@@ -1,80 +1,32 @@
 import numpy as np
 import pytest
 
+import hologate
 from hologate import (
     ValidationError,
-    herm_eig,
+    characterization,
     kron,
+    linalg,
     named_gate,
     pauli_string,
-    unitary_exp,
     unitary_fidelity,
 )
 from hologate.linalg import PAULI_1Q, _ordered_product, pauli_labels
+from reference import unitary_exp
 
 SX, SY, SZ = PAULI_1Q["X"], PAULI_1Q["Y"], PAULI_1Q["Z"]
 
 
-class TestHermEig:
-    def test_sigma_z(self):
-        vals, vecs = herm_eig(SZ)
-        np.testing.assert_allclose(vals, [-1.0, 1.0])
-        # ascending order puts |1> first
-        assert abs(vecs[1, 0]) == pytest.approx(1.0)
-        assert abs(vecs[0, 1]) == pytest.approx(1.0)
-
-    def test_sigma_x(self):
-        vals, vecs = herm_eig(SX)
-        np.testing.assert_allclose(vals, [-1.0, 1.0])
-        minus = np.array([1.0, -1.0]) / np.sqrt(2)
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        assert abs(minus @ vecs[:, 0]) == pytest.approx(1.0)
-        assert abs(plus @ vecs[:, 1]) == pytest.approx(1.0)
-
-    def test_random_reconstruction(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            a = a + a.conj().T
-            vals, vecs = herm_eig(a)
-            assert np.all(np.diff(vals) >= 0)
-            np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, a, atol=1e-10)
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
-
-    def test_degenerate_orthonormal(self):
-        vals, vecs = herm_eig(np.eye(4, dtype=complex))
-        np.testing.assert_allclose(vals, np.ones(4))
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestUnitaryExp:
-    def test_zero_time(self):
-        np.testing.assert_allclose(unitary_exp(SY, 0.0), np.eye(2), atol=1e-15)
-
-    def test_diagonal(self):
-        u = unitary_exp(SZ, np.pi / 2)
-        expected = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
-        np.testing.assert_allclose(u, expected, atol=1e-12)
-
-    def test_half_turn_x(self):
-        np.testing.assert_allclose(unitary_exp(SX, np.pi), -np.eye(2), atol=1e-12)
-
-    def test_additivity(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = a + a.conj().T
-        s, t = 0.37, 1.21
-        lhs = unitary_exp(a, s + t)
-        rhs = unitary_exp(a, s) @ unitary_exp(a, t)
-        assert np.linalg.norm(lhs - rhs) < 1e-9
-
-    def test_unitarity(self, rng):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = a + a.conj().T
-        u = unitary_exp(a, 2.3)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-10
+@pytest.mark.parametrize("name", [
+    "herm_eig", "unitary_exp", "require_hermitian", "is_hermitian", "HERMITICITY_RTOL",
+    "_rotation", "CLIFFORD_1Q", "CLIFFORD_1Q_PTM", "CLIFFORD_1Q_GROUP_PTM",
+    "_CLIFFORD_1Q_ROTATIONS",
+])
+def test_removed_names_are_gone(name):
+    # the Hermitian eigensolver and exponential served only the Clifford
+    # generators, which the package now writes as signed permutations
+    for module in (hologate, linalg, characterization):
+        assert not hasattr(module, name)
 
 
 class TestKron:

@@ -246,6 +246,18 @@ class TestPulseParams:
                         phase=(0.0, 0.0), detuning=(1.0, 1.0),
                         couplings={(1, 0): 1.0}, duration=np.pi)
 
+    @pytest.mark.parametrize("key", [" 0, 1", "00,1", (0, 1)])
+    def test_coupling_pair_named_twice_rejected(self, key):
+        # the last value would silently win
+        with pytest.raises(ValidationError, match="twice"):
+            PulseParams(n=2, omega_drive=(1.0, 1.0), omega_rot=(2.0, 2.0),
+                        phase=(0.0, 0.0), detuning=(1.0, 1.0),
+                        couplings={"0,1": 1.0, key: 2.0}, duration=np.pi)
+        doc = tables.entangler_params().to_dict()
+        doc["couplings"] = {"0,1": 2.0, key: 2.0}
+        with pytest.raises(ValidationError, match="twice"):
+            PulseParams.from_dict(doc)
+
 
 class TestLoopSequence:
     def _loop(self, ratio=2.0, phi=0.0):

@@ -18,7 +18,6 @@ from hologate import (
     sequence_phases,
     sequence_propagator,
     single_qubit_loop_gate,
-    unitary_exp,
     unitary_fidelity,
     zero_dynamical_phase_amplitude,
 )
@@ -47,6 +46,7 @@ from reference import (
     _transport,
     build_eigenframe,
     ode_propagator_eigh,
+    unitary_exp,
 )
 
 TWO_PI = 2.0 * np.pi
